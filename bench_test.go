@@ -186,20 +186,38 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
-// BenchmarkHolisticRun measures the cost of one full holistic framework
-// run (20 iterations of kmeans) on the discrete-event testbed — the
-// simulator's end-to-end throughput.
-func BenchmarkHolisticRun(b *testing.B) {
-	profiles := benchEnv.Profiles
-	var kmeans *WorkloadProfile
-	for _, p := range profiles {
-		if p.Name == "kmeans" {
-			kmeans = p
-		}
+// The *Run benchmarks measure one full framework run (20 iterations of
+// kmeans) on the discrete-event testbed in each core.Run mode — the
+// simulator's end-to-end throughput. Allocations are reported because a
+// framework iteration allocates nothing: allocs/op is per-run setup only.
+
+// BenchmarkHolisticRun runs both tiers: GreenGPU proper.
+func BenchmarkHolisticRun(b *testing.B) { benchRun(b, DefaultConfig(Holistic)) }
+
+// BenchmarkFreqScalingRun runs tier 2 only, all work on the GPU.
+func BenchmarkFreqScalingRun(b *testing.B) { benchRun(b, DefaultConfig(FreqScaling)) }
+
+// BenchmarkDivisionRun runs tier 1 only, every clock at peak.
+func BenchmarkDivisionRun(b *testing.B) { benchRun(b, DefaultConfig(Division)) }
+
+// BenchmarkStaticDivisionRun runs the fixed-frequency baseline with a
+// pinned 30% CPU share, one point of the paper's Fig. 2 sweep.
+func BenchmarkStaticDivisionRun(b *testing.B) {
+	cfg := DefaultConfig(Baseline)
+	r := 0.3
+	cfg.StaticRatio = &r
+	benchRun(b, cfg)
+}
+
+func benchRun(b *testing.B, cfg Config) {
+	kmeans, err := Profile(benchEnv.Profiles, "kmeans")
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(NewTestbed(), kmeans, DefaultConfig(Holistic))
+		res, err := Run(NewTestbed(), kmeans, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

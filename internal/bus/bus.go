@@ -75,10 +75,14 @@ func (b *Bus) TransferTime(n units.Bytes) time.Duration {
 	return b.cfg.Latency + b.cfg.Bandwidth.TransferTime(n)
 }
 
-// Transfer enqueues a transfer of n bytes and invokes onDone when it
-// completes. Transfers are serialized FIFO: a transfer issued while the bus
-// is busy starts when the channel frees up. It returns the completion time.
-func (b *Bus) Transfer(n units.Bytes, name string, onDone func()) time.Duration {
+// Transfer enqueues a transfer of n bytes and invokes onDone, if non-nil,
+// when it completes. Transfers are serialized FIFO: a transfer issued while
+// the bus is busy starts when the channel frees up. label is the completion
+// event's diagnostic label, used as given. It returns the completion time.
+//
+// A nil onDone still schedules the completion event, so event counts and
+// order do not depend on whether anyone waits for the transfer.
+func (b *Bus) Transfer(n units.Bytes, label string, onDone func()) time.Duration {
 	service := b.TransferTime(n)
 	start := b.engine.Now()
 	if b.busyUntil > start {
@@ -89,13 +93,14 @@ func (b *Bus) Transfer(n units.Bytes, name string, onDone func()) time.Duration 
 	b.bytes += n
 	b.busyTime += service
 	b.transfers++
-	b.engine.Schedule(end, "bus:"+name, func() {
-		if onDone != nil {
-			onDone()
-		}
-	})
+	if onDone == nil {
+		onDone = noop
+	}
+	b.engine.Schedule(end, label, onDone)
 	return end
 }
+
+func noop() {}
 
 // Busy reports whether the bus has unfinished transfers.
 func (b *Bus) Busy() bool { return b.busyUntil > b.engine.Now() }

@@ -110,7 +110,28 @@ func TestNilCallback(t *testing.T) {
 	e := sim.New()
 	b := New(e, testConfig())
 	b.Transfer(100, "nil-cb", nil)
-	e.Run() // must not panic
+	// The completion event is scheduled even with nobody waiting, so event
+	// counts do not depend on the callback.
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after a nil-callback transfer, want 1", e.Pending())
+	}
+	if n := e.Run(); n != 1 { // must not panic
+		t.Errorf("Run fired %d events, want 1", n)
+	}
+}
+
+func TestTransferAllocatesNothing(t *testing.T) {
+	e := sim.New()
+	b := New(e, testConfig())
+	done := func() {}
+	for _, cb := range []func(){nil, done} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			b.Transfer(100, "bus:t", cb)
+			e.Run()
+		}); allocs != 0 {
+			t.Errorf("Transfer (nil callback %v) allocates %.0f per call", cb == nil, allocs)
+		}
+	}
 }
 
 func TestZeroByteTransferStillPaysLatency(t *testing.T) {

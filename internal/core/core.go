@@ -33,6 +33,7 @@ import (
 	"greengpu/internal/dvfs"
 	"greengpu/internal/faultinject"
 	"greengpu/internal/governor"
+	"greengpu/internal/gpusim"
 	"greengpu/internal/sim"
 	"greengpu/internal/telemetry"
 	"greengpu/internal/testbed"
@@ -402,6 +403,16 @@ type framework struct {
 	ratio      float64
 	iterations int
 
+	// Per-run iteration objects, built once in run() and refilled by
+	// startIteration, so a steady-state iteration allocates nothing. The
+	// event labels are per-run diagnostics: profile name and role, no
+	// iteration index.
+	kernel           gpusim.Kernel
+	cpuJob           cpusim.Job
+	submitKernel     func()
+	h2dLabel         string
+	repartitionLabel string
+
 	iterIndex  int
 	iterStart  time.Duration
 	iterStartE testbed.EnergySnapshot
@@ -422,7 +433,24 @@ func (f *framework) run() (*Result, error) {
 	if cfg.Iterations > 0 {
 		f.iterations = cfg.Iterations
 	}
-	f.result = &Result{Workload: f.profile.Name, Mode: cfg.Mode}
+	f.result = &Result{
+		Workload:   f.profile.Name,
+		Mode:       cfg.Mode,
+		Iterations: make([]IterationStats, 0, f.iterations),
+	}
+	name := f.profile.Name
+	f.kernel = gpusim.Kernel{
+		Name:       name,
+		Phases:     make([]gpusim.Phase, 0, len(f.profile.Phases)),
+		OnComplete: func() { f.sideDone(&f.gpuPending, &f.gpuDoneAt) },
+	}
+	f.cpuJob = cpusim.Job{
+		Name:       name + ":cpu",
+		OnComplete: func() { f.sideDone(&f.cpuPending, &f.cpuDoneAt) },
+	}
+	f.submitKernel = func() { m.GPU.Submit(&f.kernel) }
+	f.h2dLabel = "bus:" + name + ":h2d"
+	f.repartitionLabel = "bus:" + name + ":repartition"
 
 	// Arm fault injection. A nil or Zero plan arms nothing: the control
 	// loop below then follows the exact fault-free path (the guards and
@@ -660,7 +688,8 @@ func (f *framework) recoverySnapshot() RecoveryCounts {
 	return rc
 }
 
-// startIteration launches both sides of iteration f.iterIndex.
+// startIteration launches both sides of iteration f.iterIndex, refilling
+// the per-run kernel and CPU job rather than building new ones.
 func (f *framework) startIteration() {
 	m := f.machine
 	f.iterStart = m.Engine.Now()
@@ -676,7 +705,7 @@ func (f *framework) startIteration() {
 		h := f.divider.History()
 		last := h[len(h)-1]
 		if bytes := f.profile.RepartitionTraffic(last.R, last.NewR); bytes > 0 {
-			m.Bus.Transfer(bytes, fmt.Sprintf("%s:iter%d:repartition", f.profile.Name, f.iterIndex), nil)
+			m.Bus.Transfer(bytes, f.repartitionLabel, nil)
 		}
 	}
 
@@ -688,22 +717,16 @@ func (f *framework) startIteration() {
 		if f.injector != nil {
 			kernelUnits *= f.injector.Straggler()
 		}
-		name := fmt.Sprintf("%s:iter%d", f.profile.Name, f.iterIndex)
-		k := f.profile.GPUKernel(name, kernelUnits)
-		k.OnComplete = func() { f.sideDone(&f.gpuPending, &f.gpuDoneAt) }
-		xfer := f.profile.TransferBytes(gpuUnits)
-		m.Bus.Transfer(xfer, name+":h2d", func() { m.GPU.Submit(k) })
+		f.profile.FillKernel(&f.kernel, kernelUnits)
+		m.Bus.Transfer(f.profile.TransferBytes(gpuUnits), f.h2dLabel, f.submitKernel)
 	} else {
 		f.sideDone(&f.gpuPending, &f.gpuDoneAt)
 	}
 
 	// CPU side.
 	if cpuUnits > 1e-9 {
-		m.CPU.Run(&cpusim.Job{
-			Name:       fmt.Sprintf("%s:iter%d:cpu", f.profile.Name, f.iterIndex),
-			Ops:        f.profile.CPUOps(cpuUnits),
-			OnComplete: func() { f.sideDone(&f.cpuPending, &f.cpuDoneAt) },
-		})
+		f.cpuJob.Ops = f.profile.CPUOps(cpuUnits)
+		m.CPU.Run(&f.cpuJob)
 	} else {
 		f.sideDone(&f.cpuPending, &f.cpuDoneAt)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"greengpu/internal/division"
 	"greengpu/internal/faultinject"
 	"greengpu/internal/testbed"
 	"greengpu/internal/workload"
@@ -178,5 +179,70 @@ func TestFaultFreeEpochPathAddsNoAllocations(t *testing.T) {
 	many := testing.AllocsPerRun(10, run(time.Second))
 	if many > few {
 		t.Fatalf("tripling DVFS epochs grew allocations %.0f → %.0f; the epoch path must be allocation-free", few, many)
+	}
+}
+
+// TestSteadyStateIterationAddsNoAllocations pins that a framework iteration
+// allocates nothing: quadrupling a run's iteration count must not change its
+// allocation count. The kernel, CPU job, callbacks, event labels and the
+// Iterations slice are all per-run. Dividing modes may additionally grow
+// DivisionHistory, one append per iteration; the bound allows exactly that
+// slice's amortized reallocations between the two lengths.
+func TestSteadyStateIterationAddsNoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector runtime perturbs whole-run allocation counts")
+	}
+	const n = 8
+	// historyGrowths counts the reallocations of appending k observations
+	// to a nil slice, as Divider.Observe does.
+	historyGrowths := func(k int) float64 {
+		var h []division.Observation
+		grows := 0
+		for i := 0; i < k; i++ {
+			if len(h) == cap(h) {
+				grows++
+			}
+			h = append(h, division.Observation{})
+		}
+		return float64(grows)
+	}
+	static := 0.3
+	p := profileByName(t, "kmeans")
+	for _, c := range []struct {
+		name        string
+		mode        Mode
+		staticRatio *float64
+	}{
+		{"baseline", Baseline, nil},
+		{"baseline-static-0.3", Baseline, &static},
+		{"frequency-scaling", FreqScaling, nil},
+		{"division", Division, nil},
+		{"greengpu", Holistic, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := func(iters int) float64 {
+				return testing.AllocsPerRun(10, func() {
+					cfg := DefaultConfig(c.mode)
+					cfg.StaticRatio = c.staticRatio
+					cfg.Iterations = iters
+					r, err := Run(testbed.New(), p, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(r.Iterations) != iters {
+						t.Fatalf("ran %d iterations, want %d", len(r.Iterations), iters)
+					}
+				})
+			}
+			var slack float64
+			if c.mode.divides() {
+				slack = historyGrowths(4*n) - historyGrowths(n)
+			}
+			few, many := allocs(n), allocs(4*n)
+			if many < few || many > few+slack {
+				t.Fatalf("%d → %d iterations grew allocations %.0f → %.0f (allowed %.0f for DivisionHistory); a framework iteration must be allocation-free",
+					n, 4*n, few, many, slack)
+			}
+		})
 	}
 }

@@ -157,6 +157,9 @@ type CPU struct {
 
 	jobEnd func() // bound job-completion callback, allocated once
 	jobBuf jobExec
+	// The job event label "cpu:"+name, memoized for the last job name
+	// seen so rerunning one job builds it once.
+	labelFor, label string
 
 	lastUpdate time.Duration
 	busy       time.Duration
@@ -267,8 +270,12 @@ func (c *CPU) Run(j *Job) {
 	c.accrue()
 	j.started = c.engine.Now()
 	// One job runs at a time, so its execution state lives in a reused
-	// buffer rather than a fresh allocation.
-	c.jobBuf = jobExec{job: j, cores: cores, remOps: j.Ops, name: "cpu:" + j.Name}
+	// buffer rather than a fresh allocation, and the diagnostic event
+	// label is rebuilt only when the job name changes.
+	if j.Name != c.labelFor || c.label == "" {
+		c.labelFor, c.label = j.Name, "cpu:"+j.Name
+	}
+	c.jobBuf = jobExec{job: j, cores: cores, remOps: j.Ops, name: c.label}
 	c.job = &c.jobBuf
 	c.startSegment()
 }

@@ -378,3 +378,17 @@ func absDur(d time.Duration) time.Duration {
 	}
 	return d
 }
+
+// Rerunning one job reuses the device's memoized event label, so the rerun
+// path allocates nothing.
+func TestRerunJobAllocatesNothing(t *testing.T) {
+	e := sim.New()
+	c := New(e, testConfig())
+	j := &Job{Name: "reused", Ops: 1e9}
+	if allocs := testing.AllocsPerRun(100, func() {
+		c.Run(j)
+		e.Run()
+	}); allocs != 0 {
+		t.Errorf("rerunning one job allocates %.0f per run", allocs)
+	}
+}

@@ -171,8 +171,7 @@ func PairDistance(a, b Decision) int {
 // weightTable abstracts the WMA storage so the scaler can run on either
 // the float table or the §VI-style 8-bit fixed-point table.
 type weightTable interface {
-	Update(loss func(i int) float64)
-	Best() int
+	UpdateBest(losses []float64) int
 	Reset()
 	Weight(i int) float64
 }
@@ -192,7 +191,6 @@ type Scaler struct {
 	lcBuf   []float64
 	lmBuf   []float64
 	lossBuf []float64
-	lossAt  func(idx int) float64 // reads lossBuf; bound once, reused by Update
 
 	steps int
 	// lastBest tracks the previous decision's flat pair index (-1 before
@@ -225,7 +223,7 @@ func newScaler(coreLevels, memLevels []units.Frequency, p Params, mk func(n int)
 	}
 	cu := UMeans(coreLevels)
 	mu := UMeans(memLevels)
-	s := &Scaler{
+	return &Scaler{
 		params:    p,
 		coreUMean: cu,
 		memUMean:  mu,
@@ -235,8 +233,6 @@ func newScaler(coreLevels, memLevels []units.Frequency, p Params, mk func(n int)
 		lossBuf:   make([]float64, len(cu)*len(mu)),
 		lastBest:  -1,
 	}
-	s.lossAt = func(idx int) float64 { return s.lossBuf[idx] }
-	return s
 }
 
 // Params returns the scaler's tuning constants.
@@ -285,17 +281,17 @@ func (s *Scaler) Step(uCore, uMem float64) Decision {
 		s.lmBuf[j] = Loss(uMem, um, s.params.AlphaMem)
 	}
 	phi, oneMinusPhi := s.params.Phi, 1-s.params.Phi
-	k := 0
-	for i := range s.coreUMean {
-		lc := phi * s.lcBuf[i]
-		for j := range s.memUMean {
-			s.lossBuf[k] = lc + oneMinusPhi*s.lmBuf[j]
-			k++
+	lm, rest := s.lmBuf, s.lossBuf
+	for _, lcv := range s.lcBuf {
+		lc := phi * lcv
+		row := rest[:len(lm)]
+		for j, l := range lm {
+			row[j] = lc + oneMinusPhi*l
 		}
+		rest = rest[len(lm):]
 	}
-	s.table.Update(s.lossAt)
+	best := s.table.UpdateBest(s.lossBuf)
 	s.steps++
-	best := s.table.Best()
 	metricSteps.Inc()
 	if best != s.lastBest && s.lastBest >= 0 {
 		metricLevelChanges.Inc()

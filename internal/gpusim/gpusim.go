@@ -220,6 +220,9 @@ type GPU struct {
 
 	phaseEnd func() // bound onPhaseEnd, allocated once
 	execBuf  execState
+	// The phase event label "gpu:"+name, memoized for the last kernel
+	// name seen so resubmitting one kernel builds it once.
+	labelFor, label string
 
 	queue   []*Kernel
 	running *execState
@@ -464,8 +467,11 @@ func (g *GPU) start(k *Kernel) {
 	k.started = g.engine.Now()
 	// One kernel runs at a time, so its execution state lives in a reused
 	// buffer rather than a fresh allocation, and the diagnostic event
-	// label is built once per kernel rather than per phase.
-	g.execBuf = execState{kernel: k, name: "gpu:" + k.Name}
+	// label is rebuilt only when the kernel name changes.
+	if k.Name != g.labelFor || g.label == "" {
+		g.labelFor, g.label = k.Name, "gpu:"+k.Name
+	}
+	g.execBuf = execState{kernel: k, name: g.label}
 	g.running = &g.execBuf
 	g.loadPhase()
 }

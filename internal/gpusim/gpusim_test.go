@@ -685,3 +685,17 @@ func TestCoreGatableValidation(t *testing.T) {
 		t.Error("CoreGatable > 1 accepted")
 	}
 }
+
+// Resubmitting one kernel reuses the device's memoized event label, so the
+// resubmission path allocates nothing.
+func TestResubmittedKernelAllocatesNothing(t *testing.T) {
+	e := sim.New()
+	g := New(e, testConfig(0.15))
+	k := &Kernel{Name: "reused", Phases: []Phase{{Ops: 1e9, Bytes: 2e8}, {Ops: 5e8, Stall: 0.1}}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		g.Submit(k)
+		e.Run()
+	}); allocs != 0 {
+		t.Errorf("resubmitting one kernel allocates %.0f per run", allocs)
+	}
+}

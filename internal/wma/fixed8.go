@@ -44,7 +44,7 @@ func NewFixed8(n int, beta float64) *Fixed8Table {
 // Len returns the number of experts.
 func (t *Fixed8Table) Len() int { return len(t.weights) }
 
-// Rounds returns the number of Update calls since the last Reset.
+// Rounds returns the number of UpdateBest calls since the last Reset.
 func (t *Fixed8Table) Rounds() int { return t.rounds }
 
 // Reset restores all weights to 1.0.
@@ -60,25 +60,41 @@ func (t *Fixed8Table) Weight(i int) float64 {
 	return float64(t.weights[i]) / fixed8One
 }
 
-// Update applies one round: every expert's weight is multiplied by
-// (1 − (1−β)·loss) using Q8.8 integer arithmetic. Loss values outside
-// [0,1] (or NaN) panic, as in the float table.
-func (t *Fixed8Table) Update(loss func(i int) float64) {
+// UpdateBest applies one round — every expert's weight is multiplied by
+// (1 − (1−β)·loss) using Q8.8 integer arithmetic — and returns the index
+// of the highest-weighted expert afterwards, exactly as Best would. Loss
+// values outside [0,1] (or NaN) and a length mismatch panic, as in the
+// float table.
+func (t *Fixed8Table) UpdateBest(losses []float64) int {
+	weights := t.weights
+	if len(losses) != len(weights) {
+		panic(fmt.Sprintf("wma: %d losses for %d experts", len(losses), len(weights)))
+	}
 	oneMinusBeta := uint32(256) - t.beta8 // Q0.8
-	for i := range t.weights {
-		l := loss(i)
-		if l < 0 || l > 1 || math.IsNaN(l) {
+	best, m := 0, uint16(0)
+	for i, l := range losses {
+		if !(l >= 0 && l <= 1) { // also rejects NaN
 			panic(fmt.Sprintf("wma: loss for expert %d is %v, must be in [0,1]", i, l))
 		}
 		l8 := uint32(math.Round(l * 256)) // Q0.8
 		// factor = 1 − (1−β)·loss, in Q0.8: 256 − ((1−β)·l >> 8).
 		factor := uint32(256) - ((oneMinusBeta * l8) >> 8)
-		t.weights[i] = uint16((uint32(t.weights[i]) * factor) >> 8)
+		w := uint16((uint32(weights[i]) * factor) >> 8)
+		weights[i] = w
+		if w > m {
+			best, m = i, w
+		}
 	}
 	t.rounds++
-	// Renormalize when precision is running out: scale the whole table
-	// so the max returns to 1.0 (a shift-free integer multiply).
-	if m := t.max(); m > 0 && m < fixed8One/4 {
+	switch {
+	case m == 0:
+		// Every expert annihilated: restart from indifference.
+		t.Reset()
+		return 0
+	case m < fixed8One/4:
+		// Precision is running out: scale the whole table so the max
+		// returns to 1.0 (a shift-free integer multiply), then rescan so
+		// ties still break toward the lowest index.
 		scale := uint32(fixed8One) * fixed8One / uint32(m) // Q8.8 multiplier
 		for i := range t.weights {
 			v := (uint32(t.weights[i]) * scale) >> 8
@@ -87,9 +103,9 @@ func (t *Fixed8Table) Update(loss func(i int) float64) {
 			}
 			t.weights[i] = uint16(v)
 		}
-	} else if m == 0 {
-		t.Reset()
+		return t.Best()
 	}
+	return best
 }
 
 // Best returns the index of the highest-weighted expert, lowest index on
@@ -102,16 +118,6 @@ func (t *Fixed8Table) Best() int {
 		}
 	}
 	return best
-}
-
-func (t *Fixed8Table) max() uint16 {
-	m := t.weights[0]
-	for _, w := range t.weights[1:] {
-		if w > m {
-			m = w
-		}
-	}
-	return m
 }
 
 // SizeBytes returns the storage footprint of the weight table — 2 bytes

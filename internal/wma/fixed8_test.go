@@ -42,19 +42,23 @@ func TestFixed8InitialState(t *testing.T) {
 
 func TestFixed8DiscountsLosers(t *testing.T) {
 	tab := NewFixed8(3, 0.2)
-	tab.Update(func(i int) float64 {
-		if i == 1 {
-			return 0
-		}
-		return 1
-	})
-	if tab.Best() != 1 {
-		t.Errorf("Best = %d, want 1", tab.Best())
+	if best := tab.UpdateBest([]float64{1, 0, 1}); best != 1 || tab.Best() != 1 {
+		t.Errorf("UpdateBest = %d, Best = %d, want 1", best, tab.Best())
 	}
 	// Losers: factor = 1 − 0.8 ≈ 0.2 in Q0.8 (51/256 ≈ 0.199).
 	if w := tab.Weight(0); math.Abs(w-0.2) > 0.01 {
 		t.Errorf("loser weight = %v, want ~0.2", w)
 	}
+}
+
+func TestFixed8LengthMismatchPanics(t *testing.T) {
+	tab := NewFixed8(2, 0.2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	tab.UpdateBest([]float64{0})
 }
 
 func TestFixed8LossOutOfRangePanics(t *testing.T) {
@@ -64,13 +68,14 @@ func TestFixed8LossOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	tab.Update(func(int) float64 { return 1.5 })
+	tab.UpdateBest([]float64{1.5, 1.5})
 }
 
 func TestFixed8SurvivesLongRuns(t *testing.T) {
 	tab := NewFixed8(2, 0.2)
+	losses := []float64{1, 0.9}
 	for i := 0; i < 10000; i++ {
-		tab.Update(func(i int) float64 { return []float64{1, 0.9}[i] })
+		tab.UpdateBest(losses)
 	}
 	if tab.Best() != 1 {
 		t.Errorf("Best = %d after long decay, want 1", tab.Best())
@@ -82,7 +87,7 @@ func TestFixed8SurvivesLongRuns(t *testing.T) {
 
 func TestFixed8ResetAndRounds(t *testing.T) {
 	tab := NewFixed8(2, 0.2)
-	tab.Update(func(i int) float64 { return float64(i) })
+	tab.UpdateBest([]float64{0, 1})
 	if tab.Rounds() != 1 {
 		t.Errorf("Rounds = %d", tab.Rounds())
 	}
@@ -110,8 +115,8 @@ func TestFixed8MatchesFloatArgmaxProperty(t *testing.T) {
 		fx := NewFixed8(n, 0.2)
 		r := int(rounds)%60 + 5
 		for i := 0; i < r; i++ {
-			fl.Update(func(i int) float64 { return losses[i] })
-			fx.Update(func(i int) float64 { return losses[i] })
+			fl.UpdateBest(losses)
+			fx.UpdateBest(losses)
 		}
 		return losses[fx.Best()] <= losses[fl.Best()]+1.5/256
 	}

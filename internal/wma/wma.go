@@ -16,10 +16,7 @@
 // ratios, so it is unobservable to the algorithm.
 package wma
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // renormBelow triggers automatic renormalization when the maximum weight
 // decays beneath it. Any value far above the denormal range works.
@@ -53,7 +50,7 @@ func (t *Table) Len() int { return len(t.weights) }
 // Beta returns the update parameter.
 func (t *Table) Beta() float64 { return t.beta }
 
-// Rounds returns the number of Update calls since the last Reset.
+// Rounds returns the number of UpdateBest calls since the last Reset.
 func (t *Table) Rounds() int { return t.rounds }
 
 // Reset restores all weights to 1 and zeroes the round counter.
@@ -74,28 +71,39 @@ func (t *Table) Weights() []float64 {
 	return out
 }
 
-// Update applies one round of multiplicative updates. loss(i) must return
-// expert i's loss for the round, in [0,1]; values outside that range panic,
-// since they would let weights grow or go negative and break the WMA regret
-// guarantee.
-func (t *Table) Update(loss func(i int) float64) {
+// UpdateBest applies one round of multiplicative updates and returns the
+// index of the highest-weighted expert afterwards, exactly as Best would.
+// losses[i] is expert i's loss for the round and must be in [0,1]; values
+// outside that range panic, since they would let weights grow or go
+// negative and break the WMA regret guarantee. A length mismatch panics.
+//
+// The argmax is tracked during the multiply pass; only a renormalization,
+// whose rounding can create ties, forces a rescan.
+func (t *Table) UpdateBest(losses []float64) int {
+	weights := t.weights
+	if len(losses) != len(weights) {
+		panic(fmt.Sprintf("wma: %d losses for %d experts", len(losses), len(weights)))
+	}
 	oneMinusBeta := 1 - t.beta
-	max := 0.0 // weights are always > 0, so 0 seeds the max scan safely
-	for i := range t.weights {
-		l := loss(i)
-		if l < 0 || l > 1 || math.IsNaN(l) {
+	// Weights are never negative, so 0 seeds the max scan safely, and the
+	// strict comparison keeps the lowest index among equal maxima.
+	best, max := 0, 0.0
+	for i, l := range losses {
+		if !(l >= 0 && l <= 1) { // also rejects NaN
 			panic(fmt.Sprintf("wma: loss for expert %d is %v, must be in [0,1]", i, l))
 		}
-		w := t.weights[i] * (1 - oneMinusBeta*l)
-		t.weights[i] = w
+		w := weights[i] * (1 - oneMinusBeta*l)
+		weights[i] = w
 		if w > max {
-			max = w
+			best, max = i, w
 		}
 	}
 	t.rounds++
 	if max < renormBelow {
 		t.Renormalize()
+		return t.Best()
 	}
+	return best
 }
 
 // Best returns the index of the highest-weighted expert. Ties break toward

@@ -217,8 +217,19 @@ func MustCalibrate(spec Spec, gpu gpusim.Config, cpu cpusim.Config) *Profile {
 // Zero or negative units return an empty kernel that completes immediately.
 func (p *Profile) GPUKernel(name string, workUnits float64) *gpusim.Kernel {
 	k := &gpusim.Kernel{Name: name}
+	p.FillKernel(k, workUnits)
+	return k
+}
+
+// FillKernel refills k's phases for the given number of work units,
+// reusing the Phases backing array; GPUKernel is FillKernel on a fresh
+// kernel. Zero or negative units leave k with no phases. Name, OnComplete
+// and the device's bookkeeping are left alone, so a caller can resubmit one
+// kernel every iteration once the device has completed it.
+func (p *Profile) FillKernel(k *gpusim.Kernel, workUnits float64) {
+	k.Phases = k.Phases[:0]
 	if workUnits <= 0 {
-		return k
+		return
 	}
 	for _, ph := range p.Phases {
 		u := workUnits * ph.Fraction
@@ -229,7 +240,6 @@ func (p *Profile) GPUKernel(name string, workUnits float64) *gpusim.Kernel {
 			Stall: ph.StallPerUnit * u,
 		})
 	}
-	return k
 }
 
 // CPUOps returns the CPU operation count for the given work units.

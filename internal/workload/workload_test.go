@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -160,6 +161,26 @@ func TestKernelScalesWithUnits(t *testing.T) {
 	empty := p.GPUKernel("none", 0)
 	if len(empty.Phases) != 0 {
 		t.Error("zero units should give an empty kernel")
+	}
+}
+
+func TestFillKernelMatchesGPUKernelInPlace(t *testing.T) {
+	p := calibrated(t, "kmeans")
+	k := &gpusim.Kernel{Name: "reused"}
+	p.FillKernel(k, UnitsPerIteration)
+	backing := &k.Phases[0]
+	for _, units := range []float64{UnitsPerIteration / 3, UnitsPerIteration, 0, UnitsPerIteration / 2} {
+		p.FillKernel(k, units)
+		want := p.GPUKernel("fresh", units)
+		if !reflect.DeepEqual(k.Phases, want.Phases) && !(len(k.Phases) == 0 && len(want.Phases) == 0) {
+			t.Fatalf("FillKernel(%v) phases %+v, GPUKernel %+v", units, k.Phases, want.Phases)
+		}
+		if len(k.Phases) > 0 && &k.Phases[0] != backing {
+			t.Fatalf("FillKernel(%v) reallocated the phases", units)
+		}
+	}
+	if k.Name != "reused" {
+		t.Errorf("FillKernel renamed the kernel to %q", k.Name)
 	}
 }
 
