@@ -342,15 +342,7 @@ func runSweep(specText string, env *experiments.Env, r *runner) error {
 	if err != nil {
 		return err
 	}
-	eng := &sweep.Engine{
-		GPU:       env.GPUConfig,
-		CPU:       env.CPUConfig,
-		Bus:       env.BusConfig,
-		Profiles:  env.Profiles,
-		Jobs:      env.Jobs,
-		Cache:     env.Cache,
-		FaultPlan: env.FaultPlan,
-	}
+	eng := env.Engine()
 	results, err := eng.Run(spec)
 	if err != nil {
 		return err
@@ -372,15 +364,7 @@ func runPredict(o *options, env *experiments.Env, r *runner) error {
 		return err
 	}
 	opts := predict.Options{Strategy: strategy, TopM: o.predictTopM}
-	eng := &sweep.Engine{
-		GPU:       env.GPUConfig,
-		CPU:       env.CPUConfig,
-		Bus:       env.BusConfig,
-		Profiles:  env.Profiles,
-		Jobs:      env.Jobs,
-		Cache:     env.Cache,
-		FaultPlan: env.FaultPlan,
-	}
+	eng := env.Engine()
 	spots, err := eng.PredictSweetSpots(spec, opts)
 	if err != nil {
 		return err

@@ -67,12 +67,13 @@ func New(e *sim.Engine, cfg Config) *Bus {
 func (b *Bus) Config() Config { return b.cfg }
 
 // TransferTime returns the service time for a transfer of n bytes,
-// excluding any queueing delay.
+// excluding any queueing delay. It saturates at sim.MaxTime like the
+// engine clock.
 func (b *Bus) TransferTime(n units.Bytes) time.Duration {
 	if n < 0 {
 		panic(fmt.Sprintf("bus: negative transfer size %v", float64(n)))
 	}
-	return b.cfg.Latency + b.cfg.Bandwidth.TransferTime(n)
+	return sim.AddTime(b.cfg.Latency, b.cfg.Bandwidth.TransferTime(n))
 }
 
 // Transfer enqueues a transfer of n bytes and invokes onDone, if non-nil,
@@ -88,7 +89,7 @@ func (b *Bus) Transfer(n units.Bytes, label string, onDone func()) time.Duration
 	if b.busyUntil > start {
 		start = b.busyUntil
 	}
-	end := start + service
+	end := sim.AddTime(start, service)
 	b.busyUntil = end
 	b.bytes += n
 	b.busyTime += service

@@ -145,6 +145,26 @@ func TestZeroByteTransferStillPaysLatency(t *testing.T) {
 	}
 }
 
+// A transfer whose completion would overflow the clock completes at
+// sim.MaxTime, the engine's saturation rule, instead of wrapping into the
+// past and panicking the engine.
+func TestTransferSaturates(t *testing.T) {
+	e := sim.New()
+	cfg := testConfig()
+	cfg.Latency = sim.MaxTime - time.Second
+	b := New(e, cfg)
+	if got := b.TransferTime(1e12); got != sim.MaxTime {
+		t.Errorf("TransferTime = %v, want sim.MaxTime", got)
+	}
+	var done []time.Duration
+	b.Transfer(0, "a", func() { done = append(done, e.Now()) })
+	b.Transfer(0, "b", func() { done = append(done, e.Now()) })
+	e.Run()
+	if len(done) != 2 || done[0] != cfg.Latency || done[1] != sim.MaxTime {
+		t.Errorf("completions %v, want [%v %v]", done, cfg.Latency, sim.MaxTime)
+	}
+}
+
 // Property: completion time of back-to-back transfers equals the sum of
 // their individual service times, regardless of issue pattern.
 func TestSerializationProperty(t *testing.T) {

@@ -27,6 +27,7 @@ import (
 	"greengpu/internal/gpusim"
 	"greengpu/internal/parallel"
 	"greengpu/internal/runcache"
+	"greengpu/internal/sweep"
 	"greengpu/internal/testbed"
 	"greengpu/internal/workload"
 )
@@ -126,41 +127,47 @@ func scalingConfig() core.Config {
 	return core.DefaultConfig(core.FreqScaling)
 }
 
-// run executes a profile on a fresh machine, propagating errors. Points go
-// through the run cache when one is attached.
-func (e *Env) run(name string, cfg core.Config) (*core.Result, error) {
-	p, err := e.Profile(name)
-	if err != nil {
-		return nil, err
+// Engine returns a sweep engine over the environment's devices and
+// workloads that carries its current Jobs, Cache and FaultPlan. It is
+// built afresh on every call, so reassigning those fields between calls
+// takes effect on the next one.
+func (e *Env) Engine() *sweep.Engine {
+	return &sweep.Engine{
+		GPU:       e.GPUConfig,
+		CPU:       e.CPUConfig,
+		Bus:       e.BusConfig,
+		Profiles:  e.Profiles,
+		Jobs:      e.Jobs,
+		Cache:     e.Cache,
+		FaultPlan: e.FaultPlan,
 	}
-	return e.runPoint(e.GPUConfig, e.CPUConfig, e.BusConfig, p, cfg)
 }
 
-// runPoint executes one simulation point on a fresh machine assembled from
-// explicit device configurations, consulting the cache when possible. It is
-// the choke point every cacheable run funnels through: callers that build
-// custom machines (e.g. the CPU-capability sweep) use it directly so their
-// points share the suite-wide cache too.
+// run evaluates one point of a calibrated workload through the sweep
+// engine's single evaluator (see runPoint).
+func (e *Env) run(name string, cfg core.Config) (*core.Result, error) {
+	return runPoint(e.Engine(), name, cfg)
+}
+
+// runPoint evaluates one point through a one-workload batch of eng: run
+// cache when one is attached and the point is cacheable, the closed form
+// when the configuration is expressible, a full simulation otherwise.
+// Callers that swap a device (the CPU-capability sweep) pass an engine
+// carrying the swapped configuration, so their points share the
+// suite-wide cache too.
 //
 // The fresh-machine-per-point contract: a point is a pure function of
-// (device configs, profile, core config), so each one gets its own machine
-// built from plain-value configs — never a shared or reused machine, whose
+// (device configs, profile, core config), so each one is evaluated from
+// plain-value configs — never on a shared or reused machine, whose
 // accumulated meter state would leak between points and break bitwise
 // reproducibility.
-func (e *Env) runPoint(gpu gpusim.Config, cpu cpusim.Config, b bus.Config, p *workload.Profile, cfg core.Config) (*core.Result, error) {
-	e.applyFaultPlan(&cfg)
-	if e.Cache == nil || !runcache.Cacheable(&cfg) {
-		return core.Run(testbed.NewFrom(gpu, cpu, b), p, cfg)
-	}
-	key := runcache.KeyOf(&gpu, &cpu, &b, p, &cfg, "")
-	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
-		r, err := core.Run(testbed.NewFrom(gpu, cpu, b), p, cfg)
-		return runcache.Value{Result: r}, err
-	})
+func runPoint(eng *sweep.Engine, name string, cfg core.Config) (*core.Result, error) {
+	b, err := eng.NewBatch(name)
 	if err != nil {
 		return nil, err
 	}
-	return v.Result, nil
+	r, _, err := b.Eval(name, cfg)
+	return r, err
 }
 
 // runMeteredGPU is run with the GPU card power meter attached, returning
@@ -172,7 +179,9 @@ func (e *Env) runMeteredGPU(name string, cfg core.Config) (*core.Result, []float
 	if err != nil {
 		return nil, nil, err
 	}
-	e.applyFaultPlan(&cfg)
+	if cfg.FaultPlan == nil {
+		cfg.FaultPlan = e.FaultPlan
+	}
 	compute := func() (runcache.Value, error) {
 		m := e.Machine()
 		m.MeterGPU.Start()
@@ -198,16 +207,6 @@ func (e *Env) runMeteredGPU(name string, cfg core.Config) (*core.Result, []float
 		return nil, nil, err
 	}
 	return v.Result, v.GPUPower, nil
-}
-
-// applyFaultPlan installs the chaos-mode ambient plan on configurations
-// that do not carry their own. Both run choke points (runPoint,
-// runMeteredGPU) call it before cacheability is decided, so chaos runs are
-// fingerprinted under the plan they actually executed.
-func (e *Env) applyFaultPlan(cfg *core.Config) {
-	if cfg.FaultPlan == nil && e.FaultPlan != nil {
-		cfg.FaultPlan = e.FaultPlan
-	}
 }
 
 // derive builds an environment from explicit device configurations like

@@ -371,11 +371,9 @@ func (e *Env) CPUCapability(names ...string) ([]CPURow, error) {
 		}
 	}
 	return mapPoints(e, tasks, func(_ int, tk cpuCase) (CPURow, error) {
-		p, err := e.Profile(tk.workload)
-		if err != nil {
-			return CPURow{}, err
-		}
-		r, err := e.runPoint(e.GPUConfig, tk.cfg(), e.BusConfig, p, core.DefaultConfig(core.Division))
+		eng := e.Engine()
+		eng.CPU = tk.cfg()
+		r, err := runPoint(eng, tk.workload, core.DefaultConfig(core.Division))
 		if err != nil {
 			return CPURow{}, err
 		}

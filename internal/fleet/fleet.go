@@ -242,6 +242,25 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 	byKey := make(map[runcache.Key]int32)
 	var groups []Group
 	var metas []groupMeta
+	// addGroup returns the group of cfg's run-cache key on the class's
+	// batch, registering a new group on the key's first sight. Spec-built
+	// configurations are always cacheable, so a missing key is an error.
+	addGroup := func(ci, wi, level int, cfg core.Config) (int32, error) {
+		key, ok := rts[ci].batch.Key(wls[wi], cfg)
+		if !ok {
+			return 0, fmt.Errorf("fleet: %s/%s/%v configuration has no run-cache key",
+				rts[ci].class.Name, wls[wi], cfg.Mode)
+		}
+		if g, seen := byKey[key]; seen {
+			return g, nil
+		}
+		g := int32(len(groups))
+		byKey[key] = g
+		groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
+			Mode: cfg.Mode, FaultLevel: level, Key: key})
+		metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
+		return g, nil
+	}
 	nodeGroup := make([]int32, spec.Nodes)
 	for i := 0; i < spec.Nodes; i++ {
 		s := parallel.TaskSeed(spec.Seed, i)
@@ -253,24 +272,8 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		g := tupleGroup[t]
 		if g < 0 {
 			cfg := e.nodeConfig(&spec, modes[mi], plans[fi])
-			g = int32(len(groups))
-			if key, ok := rts[ci].batch.Key(wls[wi], cfg); ok {
-				if prev, seen := byKey[key]; seen {
-					g = prev
-				} else {
-					byKey[key] = g
-				}
-				if g == int32(len(groups)) {
-					groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
-						Mode: modes[mi], FaultLevel: levels[fi], Key: key})
-					metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
-				}
-			} else {
-				// Not cacheable (impossible for plain spec axes, kept for
-				// robustness): the tuple is its own group.
-				groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
-					Mode: modes[mi], FaultLevel: levels[fi]})
-				metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
+			if g, err = addGroup(ci, wi, levels[fi], cfg); err != nil {
+				return nil, err
 			}
 			tupleGroup[t] = g
 		}
@@ -294,24 +297,9 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 				continue
 			}
 			cfg := e.nodeConfig(&spec, core.Baseline, nil)
-			r := int32(len(groups))
-			if key, ok := rts[ci].batch.Key(wls[wi], cfg); ok {
-				if prev, seen := byKey[key]; seen {
-					r = prev
-				} else {
-					byKey[key] = r
-				}
-				if r == int32(len(groups)) {
-					groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
-						Mode: core.Baseline, FaultLevel: 0, Key: key})
-					metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
-				}
-			} else {
-				groups = append(groups, Group{Class: rts[ci].class.Name, Workload: wls[wi],
-					Mode: core.Baseline, FaultLevel: 0})
-				metas = append(metas, groupMeta{cfg: cfg, class: ci, workload: wi})
+			if refIdx[ci*W+wi], err = addGroup(ci, wi, 0, cfg); err != nil {
+				return nil, err
 			}
-			refIdx[ci*W+wi] = r
 		}
 	}
 
@@ -321,13 +309,9 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		res  *core.Result
 		fast bool
 	}
-	idx := make([]int, len(groups))
-	for i := range idx {
-		idx[i] = i
-	}
-	outs, err := parallel.Map(ctx, idx,
-		func(_ context.Context, _ int, g int) (evalOut, error) {
-			r, fast, err := rts[metas[g].class].batch.Eval(wls[metas[g].workload], metas[g].cfg)
+	outs, err := parallel.Map(ctx, metas,
+		func(_ context.Context, _ int, m groupMeta) (evalOut, error) {
+			r, fast, err := rts[m.class].batch.Eval(wls[m.workload], m.cfg)
 			return evalOut{res: r, fast: fast}, err
 		}, parallel.Workers(e.Jobs))
 	if err != nil {

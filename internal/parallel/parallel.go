@@ -6,8 +6,8 @@
 //
 // The determinism contract has three legs:
 //
-//   - Map and Grid return results indexed by input position, so the output
-//     layout never depends on completion order.
+//   - Map returns results indexed by input position, so the output layout
+//     never depends on completion order.
 //   - Errors aggregate by input position, not by time: when several tasks
 //     fail, the error of the lowest-indexed failing task is returned, and
 //     the shared context is cancelled after the first observed failure so
@@ -79,7 +79,7 @@ type config struct {
 	onProgress func(done, total int)
 }
 
-// Option customizes a Map or Grid call.
+// Option customizes a Map call.
 type Option func(*config)
 
 // Workers bounds the number of concurrent tasks. n <= 0 selects one worker
@@ -156,14 +156,15 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 		settled int
 	)
 	next.Store(-1)
+	// The callback runs under the lock: that is what serializes the calls
+	// and keeps done strictly increasing.
 	progress := func() {
 		mu.Lock()
 		settled++
-		done := settled
-		mu.Unlock()
 		if c.onProgress != nil {
-			c.onProgress(done, n)
+			c.onProgress(settled, n)
 		}
+		mu.Unlock()
 	}
 
 	for w := 0; w < c.workers; w++ {
@@ -207,31 +208,4 @@ func Map[T, R any](ctx context.Context, items []T, fn func(ctx context.Context, 
 		return nil, err
 	}
 	return results, nil
-}
-
-// Grid runs fn over the cartesian product rows × cols and returns the
-// results as a row-major matrix (result[i][j] corresponds to rows[i],
-// cols[j]). Scheduling, error aggregation and options behave exactly as in
-// Map over the flattened product.
-func Grid[A, B, R any](ctx context.Context, rows []A, cols []B, fn func(ctx context.Context, i, j int, row A, col B) (R, error), opts ...Option) ([][]R, error) {
-	nr, nc := len(rows), len(cols)
-	if nr == 0 || nc == 0 {
-		return nil, ctx.Err()
-	}
-	flat := make([]int, nr*nc)
-	for i := range flat {
-		flat[i] = i
-	}
-	out, err := Map(ctx, flat, func(ctx context.Context, k int, _ int) (R, error) {
-		i, j := k/nc, k%nc
-		return fn(ctx, i, j, rows[i], cols[j])
-	}, opts...)
-	if err != nil {
-		return nil, err
-	}
-	m := make([][]R, nr)
-	for i := 0; i < nr; i++ {
-		m[i] = out[i*nc : (i+1)*nc : (i+1)*nc]
-	}
-	return m, nil
 }

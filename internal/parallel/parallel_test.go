@@ -153,38 +153,6 @@ func TestMapProgress(t *testing.T) {
 	}
 }
 
-func TestGridShapeAndValues(t *testing.T) {
-	rows := []int{10, 20, 30}
-	cols := []int{1, 2}
-	for _, workers := range []int{1, 4} {
-		m, err := Grid(context.Background(), rows, cols, func(_ context.Context, i, j, r, c int) (int, error) {
-			return r + c, nil
-		}, Workers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(m) != 3 || len(m[0]) != 2 {
-			t.Fatalf("shape %dx%d, want 3x2", len(m), len(m[0]))
-		}
-		for i, r := range rows {
-			for j, c := range cols {
-				if m[i][j] != r+c {
-					t.Errorf("m[%d][%d] = %d, want %d", i, j, m[i][j], r+c)
-				}
-			}
-		}
-	}
-}
-
-func TestGridEmpty(t *testing.T) {
-	m, err := Grid(context.Background(), []int{}, []int{1}, func(_ context.Context, i, j, r, c int) (int, error) {
-		return 0, nil
-	})
-	if m != nil || err != nil {
-		t.Fatalf("empty grid: got %v, %v", m, err)
-	}
-}
-
 func TestTaskSeedStableAndDistinct(t *testing.T) {
 	a := TaskSeed(42, 0)
 	if a != TaskSeed(42, 0) {

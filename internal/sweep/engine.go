@@ -75,56 +75,86 @@ type PointResult struct {
 // The order is part of the engine's determinism contract — results are
 // returned in exactly this order at any Jobs value.
 func (e *Engine) Expand(spec Spec) ([]Point, error) {
-	if err := spec.Validate(); err != nil {
+	r, err := e.resolve(&spec)
+	if err != nil {
 		return nil, err
 	}
-	names := spec.Workloads
-	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		names = make([]string, len(e.Profiles))
-		for i, p := range e.Profiles {
-			names[i] = p.Name
-		}
-	}
-	for _, n := range names {
-		if _, err := workload.ByName(e.Profiles, n); err != nil {
-			return nil, err
-		}
-	}
+	return r.points(&spec), nil
+}
 
+// resolvedSpec is a validated spec resolved against the engine's devices.
+type resolvedSpec struct {
+	names       []string // "all" expanded; every name is a known profile
+	cores, mems []int    // device ladder indices; nil for a draw spec
+	cpu         int      // CPU P-state; the peak when the spec says -1
+}
+
+// resolve validates the spec and resolves it against the engine: the
+// workload selection and, for a ladder spec, the core and memory ladders
+// and the CPU P-state. Expand and PredictSweetSpots share it.
+func (e *Engine) resolve(spec *Spec) (resolvedSpec, error) {
+	if err := spec.Validate(); err != nil {
+		return resolvedSpec{}, err
+	}
+	r := resolvedSpec{names: e.workloadNames(spec.Workloads)}
+	for _, n := range r.names {
+		if _, err := workload.ByName(e.Profiles, n); err != nil {
+			return resolvedSpec{}, err
+		}
+	}
 	if spec.Draws > 0 {
-		pts := make([]Point, 0, len(names)*spec.Draws)
-		for _, n := range names {
+		return r, nil
+	}
+	var err error
+	if r.cores, err = resolveLadder(spec.CoreLevels, len(e.GPU.CoreLevels), "core"); err != nil {
+		return resolvedSpec{}, err
+	}
+	if r.mems, err = resolveLadder(spec.MemLevels, len(e.GPU.MemLevels), "mem"); err != nil {
+		return resolvedSpec{}, err
+	}
+	r.cpu = spec.CPULevel
+	if r.cpu == -1 {
+		r.cpu = len(e.CPU.PStates) - 1
+	}
+	if r.cpu >= len(e.CPU.PStates) {
+		return resolvedSpec{}, fmt.Errorf("sweep: CPU P-state %d out of range [0,%d)", r.cpu, len(e.CPU.PStates))
+	}
+	return r, nil
+}
+
+// points lists the resolved spec's points in Expand order.
+func (r *resolvedSpec) points(spec *Spec) []Point {
+	if spec.Draws > 0 {
+		pts := make([]Point, 0, len(r.names)*spec.Draws)
+		for _, n := range r.names {
 			for d := 0; d < spec.Draws; d++ {
 				pts = append(pts, Point{Workload: n, Draw: d, Core: -1, Mem: -1, CPU: -1})
 			}
 		}
-		return pts, nil
+		return pts
 	}
-
-	cores, err := resolveLadder(spec.CoreLevels, len(e.GPU.CoreLevels), "core")
-	if err != nil {
-		return nil, err
-	}
-	mems, err := resolveLadder(spec.MemLevels, len(e.GPU.MemLevels), "mem")
-	if err != nil {
-		return nil, err
-	}
-	cpuLvl := spec.CPULevel
-	if cpuLvl == -1 {
-		cpuLvl = len(e.CPU.PStates) - 1
-	}
-	if cpuLvl >= len(e.CPU.PStates) {
-		return nil, fmt.Errorf("sweep: CPU P-state %d out of range [0,%d)", cpuLvl, len(e.CPU.PStates))
-	}
-	pts := make([]Point, 0, len(names)*len(cores)*len(mems))
-	for _, n := range names {
-		for _, c := range cores {
-			for _, m := range mems {
-				pts = append(pts, Point{Workload: n, Draw: -1, Core: c, Mem: m, CPU: cpuLvl})
+	pts := make([]Point, 0, len(r.names)*len(r.cores)*len(r.mems))
+	for _, n := range r.names {
+		for _, c := range r.cores {
+			for _, m := range r.mems {
+				pts = append(pts, Point{Workload: n, Draw: -1, Core: c, Mem: m, CPU: r.cpu})
 			}
 		}
 	}
-	return pts, nil
+	return pts
+}
+
+// workloadNames expands an empty or "all" workload selection to every
+// profile the engine knows; any other selection is returned as is.
+func (e *Engine) workloadNames(sel []string) []string {
+	if len(sel) > 0 && !(len(sel) == 1 && sel[0] == "all") {
+		return sel
+	}
+	names := make([]string, len(e.Profiles))
+	for i, p := range e.Profiles {
+		names[i] = p.Name
+	}
+	return names
 }
 
 // resolveLadder checks explicit indices against the device ladder, or
@@ -182,10 +212,10 @@ func specialize(cfg *core.Config, spec *Spec, pt Point, lv *core.Levels) {
 
 // Batch is one batch's shared precomputation — the validated device level
 // tables plus the per-workload phase columns — detached from any particular
-// spec so external callers (the fleet engine) can evaluate ad-hoc
-// configurations through the same fast-or-fallback machinery Engine.Run
-// uses. A Batch is immutable after construction and safe for concurrent
-// use.
+// spec so external callers (the experiments suite, the fleet engine, the
+// daemon) can evaluate ad-hoc configurations through the same evaluator
+// Engine.Run uses. A Batch is immutable after construction and safe for
+// concurrent use.
 type Batch struct {
 	e   *Engine
 	gt  *gpusim.Tables
@@ -212,17 +242,21 @@ func (e *Engine) deviceTables() (*gpusim.Tables, *cpusim.Tables, error) {
 
 // NewBatch validates the engine's device configurations and precomputes
 // the shared tables for the named workloads (every profile the engine
-// knows when none are named).
+// knows when none, or "all", are named).
 func (e *Engine) NewBatch(names ...string) (*Batch, error) {
-	gt, ct, err := e.deviceTables()
+	b, err := e.newBatch(e.workloadNames(names))
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
-		names = make([]string, len(e.Profiles))
-		for i, p := range e.Profiles {
-			names[i] = p.Name
-		}
+	return &b, nil
+}
+
+// newBatch is NewBatch by value, so Engine.Run's batch can stay on its
+// stack.
+func (e *Engine) newBatch(names []string) (Batch, error) {
+	gt, ct, err := e.deviceTables()
+	if err != nil {
+		return Batch{}, err
 	}
 	wts := make(map[string]*workloadTables, len(names))
 	for _, n := range names {
@@ -231,32 +265,72 @@ func (e *Engine) NewBatch(names ...string) (*Batch, error) {
 		}
 		prof, err := workload.ByName(e.Profiles, n)
 		if err != nil {
-			return nil, err
+			return Batch{}, err
 		}
 		wts[n] = newWorkloadTables(prof, gt, &e.Bus)
 	}
-	return &Batch{e: e, gt: gt, ct: ct, wts: wts}, nil
+	return Batch{e: e, gt: gt, ct: ct, wts: wts}, nil
 }
 
-// Eval evaluates the named workload under one explicit configuration:
-// closed form when the configuration is expressible, full simulation
-// otherwise, through the run cache when one is attached and the
-// configuration is cacheable. A nil cfg.FaultPlan inherits the engine's
-// ambient plan, mirroring Engine.Run. The bool reports whether the
+// Eval evaluates the named workload under one explicit configuration
+// through the batch's evaluator (see eval). The bool reports whether the
 // closed-form evaluator produced the result.
 func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
-	e := b.e
 	wt, ok := b.wts[name]
 	if !ok {
 		return nil, false, fmt.Errorf("sweep: workload %q not in batch", name)
 	}
+	return b.eval(wt, &cfg)
+}
+
+// Key returns the run-cache fingerprint Eval would use for the named
+// workload under cfg, or false when the configuration is invalid or not
+// cacheable. External dedup layers group by this key so their groups
+// collapse exactly when the cache would collapse them.
+func (b *Batch) Key(name string, cfg core.Config) (runcache.Key, bool) {
+	wt, ok := b.wts[name]
+	if !ok {
+		return runcache.Key{}, false
+	}
+	key, ok, err := b.admit(wt, &cfg, true)
+	return key, ok && err == nil
+}
+
+// admit readies cfg for evaluation: a configuration without a fault plan
+// of its own inherits the engine's ambient plan, the result is validated,
+// and — when keyed is set and the configuration is cacheable — it is
+// fingerprinted under its run-cache key. ok reports whether key is set.
+func (b Batch) admit(wt *workloadTables, cfg *core.Config, keyed bool) (key runcache.Key, ok bool, err error) {
+	e := b.e
 	if cfg.FaultPlan == nil && e.FaultPlan != nil {
 		cfg.FaultPlan = e.FaultPlan
 	}
 	if err := cfg.Validate(); err != nil {
+		return runcache.Key{}, false, err
+	}
+	if !keyed || !runcache.Cacheable(cfg) {
+		return runcache.Key{}, false, nil
+	}
+	return runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, wt.prof, cfg, ""), true, nil
+}
+
+// eval is the one evaluator: every point the experiments suite, Engine.Run,
+// the predicted search, the fleet engine and the daemon evaluate goes
+// through it. For one workload and configuration it applies the ambient
+// fault plan and validates (admit), looks the point up in the run cache
+// when one is attached and the configuration is cacheable, and otherwise
+// computes it — closed form when the configuration is expressible, a full
+// simulation on a fresh machine when not — counting the point on the fast
+// or fallback metric. The bool reports whether the closed form was chosen.
+//
+// Value receivers keep a stack-constructed batch out of the heap when
+// closures capture it.
+func (b Batch) eval(wt *workloadTables, cfg *core.Config) (*core.Result, bool, error) {
+	key, cached, err := b.admit(wt, cfg, b.e.Cache != nil)
+	if err != nil {
 		return nil, false, err
 	}
-	fast := fastEligible(&cfg)
+	fast := fastEligible(cfg)
 	metricPoints.Inc()
 	if fast {
 		metricFastPath.Inc()
@@ -265,16 +339,15 @@ func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
 	}
 	compute := func() (*core.Result, error) {
 		if fast {
-			return e.fastRun(wt, b.gt, b.ct, &cfg)
+			return b.e.fastRun(wt, b.gt, b.ct, cfg)
 		}
-		return core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), wt.prof, cfg)
+		return core.Run(testbed.NewFrom(b.e.GPU, b.e.CPU, b.e.Bus), wt.prof, *cfg)
 	}
-	if e.Cache == nil || !runcache.Cacheable(&cfg) {
+	if !cached {
 		r, err := compute()
 		return r, fast, err
 	}
-	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, wt.prof, &cfg, "")
-	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
+	v, err := b.e.Cache.Do(key, func() (runcache.Value, error) {
 		r, err := compute()
 		return runcache.Value{Result: r}, err
 	})
@@ -282,25 +355,6 @@ func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
 		return nil, false, err
 	}
 	return v.Result, fast, nil
-}
-
-// Key returns the run-cache fingerprint the batch would use for the named
-// workload under cfg (after inheriting the engine's ambient fault plan),
-// or false when the configuration is not cacheable. External dedup layers
-// group by this key so their groups collapse exactly when the cache would
-// collapse them.
-func (b *Batch) Key(name string, cfg core.Config) (runcache.Key, bool) {
-	wt, ok := b.wts[name]
-	if !ok {
-		return runcache.Key{}, false
-	}
-	if cfg.FaultPlan == nil && b.e.FaultPlan != nil {
-		cfg.FaultPlan = b.e.FaultPlan
-	}
-	if !runcache.Cacheable(&cfg) {
-		return runcache.Key{}, false
-	}
-	return runcache.KeyOf(&b.e.GPU, &b.e.CPU, &b.e.Bus, wt.prof, &cfg, ""), true
 }
 
 // Run expands and evaluates the spec, returning results in Expand order.
@@ -315,84 +369,34 @@ func (e *Engine) Run(spec Spec) ([]PointResult, error) {
 // entries), and the error is ctx.Err(). The daemon routes client
 // disconnects through this path.
 func (e *Engine) RunContext(ctx context.Context, spec Spec) ([]PointResult, error) {
-	pts, err := e.Expand(spec)
+	r, err := e.resolve(&spec)
 	if err != nil {
 		return nil, err
 	}
-	gt, ct, err := e.deviceTables()
-	if err != nil {
-		return nil, err
-	}
-	wts := make(map[string]*workloadTables)
-	for _, pt := range pts {
-		if _, ok := wts[pt.Workload]; ok {
-			continue
-		}
-		prof, err := workload.ByName(e.Profiles, pt.Workload)
-		if err != nil {
-			return nil, err
-		}
-		wts[pt.Workload] = newWorkloadTables(prof, gt, &e.Bus)
-	}
+	pts := r.points(&spec)
 	// A value batch, captured by value in the map closure: same allocation
 	// profile as capturing the tables individually.
-	b := Batch{e: e, gt: gt, ct: ct, wts: wts}
-	base := e.baseConfig(&spec)
-	if err := base.Validate(); err != nil {
+	b, err := e.newBatch(r.names)
+	if err != nil {
 		return nil, err
 	}
-	baseFast := fastEligible(&base)
+	base := e.baseConfig(&spec)
 	metricBatches.Inc()
-	metricPoints.Add(uint64(len(pts)))
 	return parallel.Map(ctx, pts,
 		func(_ context.Context, _ int, pt Point) (PointResult, error) {
-			return b.evalPoint(&spec, &base, baseFast, pt)
+			return b.evalPoint(b.wts[pt.Workload], &spec, &base, pt)
 		}, parallel.Workers(e.Jobs))
 }
 
-// evalPoint evaluates one point: closed form when the configuration is
-// expressible, full simulation otherwise, through the run cache when one
-// is attached and the point is cacheable. Value receivers keep a
-// stack-constructed batch out of the heap when closures capture it.
-func (b Batch) evalPoint(spec *Spec, base *core.Config, baseFast bool, pt Point) (PointResult, error) {
-	return b.evalPointWT(b.wts[pt.Workload], spec, base, baseFast, pt)
-}
-
-// evalPointWT is evalPoint against an explicit workload table — the form
-// the predicted search uses, where tables are built lazily per workload
-// instead of batched in the map.
-func (b Batch) evalPointWT(wt *workloadTables, spec *Spec, base *core.Config, baseFast bool, pt Point) (PointResult, error) {
-	e := b.e
+// evalPoint evaluates one spec point against an explicit workload table —
+// explicit so the predicted search can build its tables lazily per
+// workload instead of batching them in the map.
+func (b Batch) evalPoint(wt *workloadTables, spec *Spec, base *core.Config, pt Point) (PointResult, error) {
 	cfg := *base
 	var lv core.Levels
 	specialize(&cfg, spec, pt, &lv)
-	// Per-draw plans (validated by core.Run on the fallback path) are the
-	// only per-point deviation from the batch-validated base config.
-	fast := baseFast && pt.Draw < 0
-	if fast {
-		metricFastPath.Inc()
-	} else {
-		metricFallback.Inc()
-	}
-	compute := func() (*core.Result, error) {
-		if fast {
-			return e.fastRun(wt, b.gt, b.ct, &cfg)
-		}
-		return core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), wt.prof, cfg)
-	}
-	if e.Cache == nil || !runcache.Cacheable(&cfg) {
-		r, err := compute()
-		return PointResult{Point: pt, Result: r, Fast: fast}, err
-	}
-	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, wt.prof, &cfg, "")
-	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
-		r, err := compute()
-		return runcache.Value{Result: r}, err
-	})
-	if err != nil {
-		return PointResult{}, err
-	}
-	return PointResult{Point: pt, Result: v.Result, Fast: fast}, nil
+	r, fast, err := b.eval(wt, &cfg)
+	return PointResult{Point: pt, Result: r, Fast: fast}, err
 }
 
 // fastEligible reports whether the closed-form evaluator expresses the
@@ -438,19 +442,22 @@ func newWorkloadTables(prof *workload.Profile, gt *gpusim.Tables, b *bus.Config)
 	xfer := prof.TransferBytes(gpuUnits)
 	wt := &workloadTables{
 		prof:    prof,
-		busTime: b.Latency + b.Bandwidth.TransferTime(xfer),
+		busTime: sim.AddTime(b.Latency, b.Bandwidth.TransferTime(xfer)),
 		gamma:   gt.Gamma(),
 		phases:  make([]phaseTables, len(prof.Phases)),
 	}
 	nc, nm := len(gt.CoreDenom), len(gt.MemDenom)
+	// Every phase's columns share one allocation.
+	cols := make([]time.Duration, len(prof.Phases)*(nc+nm))
 	for i, ph := range prof.Phases {
 		u := gpuUnits * ph.Fraction
 		ops := ph.OpsPerUnit * u
 		bytes := ph.BytesPerUnit * u
+		col := cols[i*(nc+nm):]
 		pt := phaseTables{
 			stall: ph.StallPerUnit * u,
-			tc:    make([]time.Duration, nc),
-			tm:    make([]time.Duration, nm),
+			tc:    col[:nc:nc],
+			tm:    col[nc : nc+nm : nc+nm],
 		}
 		for c := 0; c < nc; c++ {
 			pt.tc[c] = gt.CoreTime(ops, c)
@@ -625,8 +632,8 @@ func newFastResult(name string, mode core.Mode, iters int) *core.Result {
 
 // fastRunExact is the saturation-safe evaluator: it advances the clock
 // event by event with the engine's saturation rule (sim.AddTime for phase
-// ends, the bus's plain add for transfer windows), re-deriving each
-// phase's time and utilizations per iteration exactly as the device does.
+// ends and transfer windows alike), re-deriving each phase's time and
+// utilizations per iteration exactly as the device does.
 func (e *Engine) fastRunExact(wt *workloadTables, gt *gpusim.Tables, pe *pointEval, cfg *core.Config, iters int) *core.Result {
 	res := newFastResult(wt.prof.Name, cfg.Mode, iters)
 	c, m := pe.core, pe.mem
@@ -636,7 +643,7 @@ func (e *Engine) fastRunExact(wt *workloadTables, gt *gpusim.Tables, pe *pointEv
 	for i := 0; i < iters; i++ {
 		startGPU, startCPU := gpuE, cpuE
 		iterStart := now
-		busEnd := iterStart + wt.busTime
+		busEnd := sim.AddTime(iterStart, wt.busTime)
 		if dt := busEnd - now; dt > 0 {
 			gpuE += pe.idleP.Over(dt)
 		}

@@ -48,34 +48,14 @@ type SpotResult struct {
 // "predict") when a recorder is installed, with Predicted set on
 // unverified (model-only) outcomes.
 func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResult, error) {
-	if err := spec.Validate(); err != nil {
+	r, err := e.resolve(&spec)
+	if err != nil {
 		return nil, err
 	}
 	if spec.Draws > 0 {
 		return nil, fmt.Errorf("sweep: predict needs a ladder spec, not Monte Carlo draws")
 	}
-	names := spec.Workloads
-	if len(names) == 0 || (len(names) == 1 && names[0] == "all") {
-		names = make([]string, len(e.Profiles))
-		for i, p := range e.Profiles {
-			names[i] = p.Name
-		}
-	}
-	cores, err := resolveLadder(spec.CoreLevels, len(e.GPU.CoreLevels), "core")
-	if err != nil {
-		return nil, err
-	}
-	mems, err := resolveLadder(spec.MemLevels, len(e.GPU.MemLevels), "mem")
-	if err != nil {
-		return nil, err
-	}
-	cpuLvl := spec.CPULevel
-	if cpuLvl == -1 {
-		cpuLvl = len(e.CPU.PStates) - 1
-	}
-	if cpuLvl >= len(e.CPU.PStates) {
-		return nil, fmt.Errorf("sweep: CPU P-state %d out of range [0,%d)", cpuLvl, len(e.CPU.PStates))
-	}
+	cores, mems, cpuLvl := r.cores, r.mems, r.cpu
 	gt, ct, err := e.deviceTables()
 	if err != nil {
 		return nil, err
@@ -85,10 +65,6 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 	// it without a heap allocation.
 	b := Batch{e: e, gt: gt, ct: ct}
 	base := e.baseConfig(&spec)
-	if err := base.Validate(); err != nil {
-		return nil, err
-	}
-	baseFast := fastEligible(&base)
 
 	coreF := make([]units.Frequency, len(cores))
 	for i, c := range cores {
@@ -100,8 +76,8 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 	}
 	variant := predictVariant(opts, cores, mems, cpuLvl)
 
-	out := make([]SpotResult, 0, len(names))
-	for _, n := range names {
+	out := make([]SpotResult, 0, len(r.names))
+	for _, n := range r.names {
 		prof, err := workload.ByName(e.Profiles, n)
 		if err != nil {
 			return nil, err
@@ -110,7 +86,7 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 		search := func() (predict.Outcome, error) {
 			oc, err := predict.SweetSpot(coreF, memF, func(ci, mi int) (predict.Sample, error) {
 				pt := Point{Workload: n, Draw: -1, Core: cores[ci], Mem: mems[mi], CPU: cpuLvl}
-				pr, err := b.evalPointWT(wt, &spec, &base, baseFast, pt)
+				pr, err := b.evalPoint(wt, &spec, &base, pt)
 				if err != nil {
 					return predict.Sample{}, err
 				}
