@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"greengpu/internal/core"
@@ -25,29 +26,39 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "greengpu:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and evaluates the selected workload through the
+// environment engine's shared evaluator, writing the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		workload   = flag.String("workload", "kmeans", "workload name (see -list)")
-		mode       = flag.String("mode", "greengpu", "baseline | freqscaling | division | greengpu")
-		iterations = flag.Int("iterations", 0, "iteration count override (0 = workload default)")
-		showTrace  = flag.Bool("trace", false, "print the per-iteration trace")
-		compare    = flag.Bool("compare", true, "also run the baseline and report savings")
-		list       = flag.Bool("list", false, "list available workloads and exit")
-		divider    = flag.String("divider", "step", "tier 1 policy: step (paper heuristic) | qilin (adaptive mapping)")
-		fixed8     = flag.Bool("fixed8", false, "run tier 2 on the 8-bit fixed-point weight table (§VI sketch)")
-		jsonOut    = flag.Bool("json", false, "emit the result as JSON on stdout")
+		workload   = fs.String("workload", "kmeans", "workload name (see -list)")
+		mode       = fs.String("mode", "greengpu", "baseline | freqscaling | division | greengpu")
+		iterations = fs.Int("iterations", 0, "iteration count override (0 = workload default)")
+		showTrace  = fs.Bool("trace", false, "print the per-iteration trace")
+		compare    = fs.Bool("compare", true, "also run the baseline and report savings")
+		list       = fs.Bool("list", false, "list available workloads and exit")
+		divider    = fs.String("divider", "step", "tier 1 policy: step (paper heuristic) | qilin (adaptive mapping)")
+		fixed8     = fs.Bool("fixed8", false, "run tier 2 on the 8-bit fixed-point weight table (§VI sketch)")
+		jsonOut    = fs.Bool("json", false, "emit the result as JSON on stdout")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: bad flags exit here, as flag.Parse does
 
 	env, err := experiments.NewEnv()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *list {
 		for _, p := range env.Profiles {
-			fmt.Printf("%-14s %s\n", p.Name, p.Description)
+			fmt.Fprintf(stdout, "%-14s %s\n", p.Name, p.Description)
 		}
-		return
+		return nil
 	}
 
 	m, ok := map[string]core.Mode{
@@ -58,12 +69,12 @@ func main() {
 		"holistic":    core.Holistic,
 	}[*mode]
 	if !ok {
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
-	p, err := env.Profile(*workload)
+	batch, err := env.Engine().NewBatch(*workload)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	cfg := core.DefaultConfig(m)
@@ -74,40 +85,39 @@ func main() {
 	case "qilin":
 		cfg.DivisionPolicy = division.NewQilin(division.DefaultQilinConfig())
 	default:
-		fatal(fmt.Errorf("unknown divider %q", *divider))
+		return fmt.Errorf("unknown divider %q", *divider)
 	}
-	res, err := core.Run(env.Machine(), p, cfg)
+	res, _, err := batch.Eval(*workload, cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	if *jsonOut {
-		emitJSON(res)
-		return
+		return emitJSON(stdout, res)
 	}
 
-	fmt.Printf("workload   %s\n", res.Workload)
-	fmt.Printf("mode       %v\n", res.Mode)
-	fmt.Printf("iterations %d\n", len(res.Iterations))
-	fmt.Printf("exec time  %.1f s\n", res.TotalTime.Seconds())
-	fmt.Printf("energy     %.1f kJ (GPU %.1f kJ, CPU side %.1f kJ)\n",
+	fmt.Fprintf(stdout, "workload   %s\n", res.Workload)
+	fmt.Fprintf(stdout, "mode       %v\n", res.Mode)
+	fmt.Fprintf(stdout, "iterations %d\n", len(res.Iterations))
+	fmt.Fprintf(stdout, "exec time  %.1f s\n", res.TotalTime.Seconds())
+	fmt.Fprintf(stdout, "energy     %.1f kJ (GPU %.1f kJ, CPU side %.1f kJ)\n",
 		res.Energy.Joules()/1e3, res.EnergyGPU.Joules()/1e3, res.EnergyCPU.Joules()/1e3)
-	fmt.Printf("avg power  %.1f W\n", res.AveragePower().Watts())
+	fmt.Fprintf(stdout, "avg power  %.1f W\n", res.AveragePower().Watts())
 	if m == core.Division || m == core.Holistic {
-		fmt.Printf("division   converged to %.0f/%.0f (CPU/GPU)\n",
+		fmt.Fprintf(stdout, "division   converged to %.0f/%.0f (CPU/GPU)\n",
 			res.FinalRatio*100, (1-res.FinalRatio)*100)
 	}
 
 	if *compare && m != core.Baseline {
 		bcfg := core.DefaultConfig(core.Baseline)
 		bcfg.Iterations = *iterations
-		base, err := core.Run(env.Machine(), p, bcfg)
+		base, _, err := batch.Eval(*workload, bcfg)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		saving := 1 - float64(res.Energy)/float64(base.Energy)
 		delta := float64(res.TotalTime)/float64(base.TotalTime) - 1
-		fmt.Printf("vs default %.2f%% energy saving, %+.2f%% execution time\n", saving*100, delta*100)
+		fmt.Fprintf(stdout, "vs default %.2f%% energy saving, %+.2f%% execution time\n", saving*100, delta*100)
 	}
 
 	if *showTrace {
@@ -124,10 +134,9 @@ func main() {
 				fmt.Sprintf("(%d,%d)", it.CoreLevel, it.MemLevel),
 				fmt.Sprintf("%d", it.CPULevel))
 		}
-		if err := t.WriteText(os.Stdout); err != nil {
-			fatal(err)
-		}
+		return t.WriteText(stdout)
 	}
+	return nil
 }
 
 // jsonResult is the machine-readable run summary emitted by -json.
@@ -158,7 +167,7 @@ type jsonIteration struct {
 	CPULevel    int     `json:"cpu_level"`
 }
 
-func emitJSON(res *core.Result) {
+func emitJSON(w io.Writer, res *core.Result) error {
 	out := jsonResult{
 		Workload:    res.Workload,
 		Mode:        res.Mode.String(),
@@ -184,14 +193,7 @@ func emitJSON(res *core.Result) {
 			CPULevel:    it.CPULevel,
 		})
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "greengpu:", err)
-	os.Exit(1)
+	return enc.Encode(out)
 }

@@ -182,7 +182,7 @@ func (e *Env) runMeteredGPU(name string, cfg core.Config) (*core.Result, []float
 	if cfg.FaultPlan == nil {
 		cfg.FaultPlan = e.FaultPlan
 	}
-	compute := func() (runcache.Value, error) {
+	v, err := e.Cache.Memo(&e.GPUConfig, &e.CPUConfig, &e.BusConfig, p, &cfg, "gpu-meter", func() (runcache.Value, error) {
 		m := e.Machine()
 		m.MeterGPU.Start()
 		r, err := core.Run(m, p, cfg)
@@ -196,13 +196,7 @@ func (e *Env) runMeteredGPU(name string, cfg core.Config) (*core.Result, []float
 			power[i] = s.Power.Watts()
 		}
 		return runcache.Value{Result: r, GPUPower: power}, nil
-	}
-	if e.Cache == nil || !runcache.Cacheable(&cfg) {
-		v, err := compute()
-		return v.Result, v.GPUPower, err
-	}
-	key := runcache.KeyOf(&e.GPUConfig, &e.CPUConfig, &e.BusConfig, p, &cfg, "gpu-meter")
-	v, err := e.Cache.Do(key, compute)
+	})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -493,6 +493,27 @@ func TestStallOnlyPhase(t *testing.T) {
 	}
 }
 
+// TestUnifyPhaseTimeSaturates: a phase whose overlap term would carry the
+// duration past the clock's range saturates at sim.MaxTime instead of
+// wrapping negative (which the device would treat as a zero-length phase).
+func TestUnifyPhaseTimeSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		tc, tm time.Duration
+		stall  float64
+	}{
+		{sim.MaxTime, sim.MaxTime, 0},
+		{sim.MaxTime / 2, sim.MaxTime, 0},
+		{time.Hour, time.Hour, 1e12},
+	} {
+		if got := UnifyPhaseTime(tc.tc, tc.tm, tc.stall, 0.9); got != sim.MaxTime {
+			t.Errorf("UnifyPhaseTime(%v, %v, %v) = %v, want sim.MaxTime", tc.tc, tc.tm, tc.stall, got)
+		}
+	}
+	if got, want := UnifyPhaseTime(2*time.Second, time.Second, 0, 0.5), 2500*time.Millisecond; got != want {
+		t.Errorf("UnifyPhaseTime(2s, 1s) = %v, want %v", got, want)
+	}
+}
+
 func TestStallIsFrequencyIndependent(t *testing.T) {
 	run := func(level int) time.Duration {
 		e := sim.New()

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"time"
 
+	"greengpu/internal/sim"
 	"greengpu/internal/units"
 )
 
@@ -101,7 +102,8 @@ func demandTimesAt(ops, bytes, coreDenom, memDenom float64) (tc, tm time.Duratio
 // UnifyPhaseTime combines per-domain busy times into the phase's execution
 // time under the roofline-with-overlap model: max(Tc, Tm, Ts) + γ·min(Tc,
 // Tm), where the stall floor Ts is given in seconds. It is exported so
-// batch evaluators can time phases from Tables without a live device.
+// batch evaluators can time phases from Tables without a live device. A
+// phase too long for the clock saturates at sim.MaxTime.
 func UnifyPhaseTime(tc, tm time.Duration, stall, gamma float64) time.Duration {
 	lo, hi := tc, tm
 	if lo > hi {
@@ -110,7 +112,11 @@ func UnifyPhaseTime(tc, tm time.Duration, stall, gamma float64) time.Duration {
 	if ts := units.Seconds(stall); ts > hi {
 		hi = ts
 	}
-	return hi + time.Duration(gamma*float64(lo))
+	overlap := gamma * float64(lo)
+	if overlap >= float64(sim.MaxTime) {
+		return sim.MaxTime
+	}
+	return sim.AddTime(hi, time.Duration(overlap))
 }
 
 // powerAt composes card power from the tabulated ratios. Shared by the live

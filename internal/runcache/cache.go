@@ -12,11 +12,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"greengpu/internal/bus"
 	"greengpu/internal/core"
+	"greengpu/internal/cpusim"
 	"greengpu/internal/division"
+	"greengpu/internal/gpusim"
 	"greengpu/internal/iofault"
 	"greengpu/internal/predict"
 	"greengpu/internal/telemetry"
+	"greengpu/internal/workload"
 )
 
 // Package metrics (see docs/OBSERVABILITY.md). They mirror the per-Cache
@@ -313,6 +317,19 @@ func (c *Cache) Do(key Key, compute func() (Value, error)) (Value, error) {
 		c.store(key, v) // best effort; the run already succeeded
 	}
 	return v.clone(), nil
+}
+
+// Memo is the one memoization decision for a simulation point: it runs
+// compute directly when c is nil or cfg is not Cacheable, and otherwise
+// through Do under KeyOf(gpu, cpu, b, p, cfg, variant). The variant names
+// the run flavour — "" for a plain core.Run point, "gpu-meter" for a run
+// with the GPU power meter attached, "predict:…" for a whole sweet-spot
+// search — so flavours of one configuration never share an entry.
+func (c *Cache) Memo(gpu *gpusim.Config, cpu *cpusim.Config, b *bus.Config, p *workload.Profile, cfg *core.Config, variant string, compute func() (Value, error)) (Value, error) {
+	if c == nil || !Cacheable(cfg) {
+		return compute()
+	}
+	return c.Do(KeyOf(gpu, cpu, b, p, cfg, variant), compute)
 }
 
 // finish publishes the entry's outcome. Failed computations are removed so

@@ -354,6 +354,110 @@ func TestErrorsAreNotCached(t *testing.T) {
 	}
 }
 
+// TestMemoBypass: a nil cache and a non-cacheable configuration call
+// compute directly on every request — no key, no entry, no counters.
+func TestMemoBypass(t *testing.T) {
+	gpu, cpu, b, p := fixture(t)
+	plain := core.DefaultConfig(core.Holistic)
+	observed := core.DefaultConfig(core.Holistic)
+	observed.OnIteration = func(core.IterationStats) {}
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		cache *Cache
+		cfg   *core.Config
+	}{
+		{"nil cache", nil, &plain},
+		{"non-cacheable config", c, &observed},
+	} {
+		calls := 0
+		for i := 0; i < 2; i++ {
+			v, err := tc.cache.Memo(&gpu, &cpu, &b, p, tc.cfg, "", func() (Value, error) {
+				calls++
+				return sampleValue(), nil
+			})
+			if err != nil || v.Result == nil {
+				t.Fatalf("%s: Memo = %+v, %v", tc.name, v, err)
+			}
+		}
+		if calls != 2 {
+			t.Errorf("%s: compute ran %d times for 2 requests, want 2", tc.name, calls)
+		}
+	}
+	if s := c.Stats(); s != (Stats{}) {
+		t.Errorf("bypassed requests touched the cache: %+v", s)
+	}
+}
+
+// TestMemoErrorsAreNotCached: a failed compute is returned and forgotten;
+// the next request for the point computes again.
+func TestMemoErrorsAreNotCached(t *testing.T) {
+	gpu, cpu, b, p := fixture(t)
+	cfg := core.DefaultConfig(core.Baseline)
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	calls := 0
+	compute := func() (Value, error) {
+		calls++
+		if calls == 1 {
+			return Value{}, boom
+		}
+		return sampleValue(), nil
+	}
+	if _, err := c.Memo(&gpu, &cpu, &b, p, &cfg, "", compute); !errors.Is(err, boom) {
+		t.Fatalf("error not propagated: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if v, err := c.Memo(&gpu, &cpu, &b, p, &cfg, "", compute); err != nil || v.Result == nil {
+			t.Fatalf("request %d after the error: %+v, %v", i, v, err)
+		}
+	}
+	if calls != 2 {
+		t.Errorf("compute ran %d times, want 2 (the error, then one cached success)", calls)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Hits != 1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 2 misses, 1 hit, 1 entry", s)
+	}
+}
+
+// TestMemoVariantsNeverShare: the plain, metered and predicted-search
+// flavours of one configuration are distinct entries, each replaying its
+// own value.
+func TestMemoVariantsNeverShare(t *testing.T) {
+	gpu, cpu, b, p := fixture(t)
+	cfg := core.DefaultConfig(core.Baseline)
+	c, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := []string{"", "gpu-meter", "predict:corners:energy:topm=0:refine=0:cpu=3:cores=0,5:mems=0,5"}
+	for round := 0; round < 2; round++ {
+		for i, variant := range variants {
+			v, err := c.Memo(&gpu, &cpu, &b, p, &cfg, variant, func() (Value, error) {
+				if round > 0 {
+					t.Errorf("variant %q recomputed on a warm cache", variant)
+				}
+				return Value{GPUPower: []float64{float64(i)}}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(v.GPUPower) != 1 || v.GPUPower[0] != float64(i) {
+				t.Errorf("variant %q replayed %v, want its own value %d", variant, v.GPUPower, i)
+			}
+		}
+	}
+	if s := c.Stats(); s.Misses != 3 || s.Hits != 3 || s.Entries != 3 {
+		t.Errorf("stats = %+v, want 3 misses, 3 hits, 3 entries", s)
+	}
+}
+
 // TestResultImmutability pins the frozen-result contract: what Do returns
 // is a private deep copy, so mutating it cannot corrupt what later callers
 // see.

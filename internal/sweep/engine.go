@@ -178,21 +178,10 @@ func resolveLadder(sel []int, n int, domain string) ([]int, error) {
 // baseConfig builds the batch's shared framework configuration — the
 // exact shape the per-point studies use (core.DefaultConfig plus
 // Iterations), so eligible points share their run-cache keys. The ambient
-// chaos plan applies here; per-draw plans override it in config.
-func (e *Engine) baseConfig(spec *Spec) core.Config {
+// chaos plan is applied when each point is admitted, not here.
+func baseConfig(spec *Spec) core.Config {
 	cfg := core.DefaultConfig(spec.Mode)
 	cfg.Iterations = spec.Iterations
-	if e.FaultPlan != nil {
-		cfg.FaultPlan = e.FaultPlan
-	}
-	return cfg
-}
-
-// config specializes the batch's base configuration for one point.
-func (e *Engine) config(spec *Spec, pt Point) core.Config {
-	cfg := e.baseConfig(spec)
-	var lv core.Levels
-	specialize(&cfg, spec, pt, &lv)
 	return cfg
 }
 
@@ -289,45 +278,36 @@ func (b *Batch) Eval(name string, cfg core.Config) (*core.Result, bool, error) {
 // collapse exactly when the cache would collapse them.
 func (b *Batch) Key(name string, cfg core.Config) (runcache.Key, bool) {
 	wt, ok := b.wts[name]
-	if !ok {
+	if !ok || b.e.admit(&cfg) != nil || !runcache.Cacheable(&cfg) {
 		return runcache.Key{}, false
 	}
-	key, ok, err := b.admit(wt, &cfg, true)
-	return key, ok && err == nil
+	return runcache.KeyOf(&b.e.GPU, &b.e.CPU, &b.e.Bus, wt.prof, &cfg, ""), true
 }
 
 // admit readies cfg for evaluation: a configuration without a fault plan
-// of its own inherits the engine's ambient plan, the result is validated,
-// and — when keyed is set and the configuration is cacheable — it is
-// fingerprinted under its run-cache key. ok reports whether key is set.
-func (b Batch) admit(wt *workloadTables, cfg *core.Config, keyed bool) (key runcache.Key, ok bool, err error) {
-	e := b.e
+// of its own inherits the engine's ambient plan, and the result is
+// validated. It is the only place the ambient plan is applied.
+func (e *Engine) admit(cfg *core.Config) error {
 	if cfg.FaultPlan == nil && e.FaultPlan != nil {
 		cfg.FaultPlan = e.FaultPlan
 	}
-	if err := cfg.Validate(); err != nil {
-		return runcache.Key{}, false, err
-	}
-	if !keyed || !runcache.Cacheable(cfg) {
-		return runcache.Key{}, false, nil
-	}
-	return runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, wt.prof, cfg, ""), true, nil
+	return cfg.Validate()
 }
 
 // eval is the one evaluator: every point the experiments suite, Engine.Run,
 // the predicted search, the fleet engine and the daemon evaluate goes
 // through it. For one workload and configuration it applies the ambient
-// fault plan and validates (admit), looks the point up in the run cache
-// when one is attached and the configuration is cacheable, and otherwise
-// computes it — closed form when the configuration is expressible, a full
-// simulation on a fresh machine when not — counting the point on the fast
-// or fallback metric. The bool reports whether the closed form was chosen.
+// fault plan and validates (admit), then computes the point through the
+// run cache (runcache.Cache.Memo) — closed form when the configuration is
+// expressible, a full simulation on a fresh machine when not — counting it
+// on the fast or fallback metric. The bool reports whether the closed form
+// was chosen.
 //
 // Value receivers keep a stack-constructed batch out of the heap when
 // closures capture it.
 func (b Batch) eval(wt *workloadTables, cfg *core.Config) (*core.Result, bool, error) {
-	key, cached, err := b.admit(wt, cfg, b.e.Cache != nil)
-	if err != nil {
+	e := b.e
+	if err := e.admit(cfg); err != nil {
 		return nil, false, err
 	}
 	fast := fastEligible(cfg)
@@ -337,18 +317,14 @@ func (b Batch) eval(wt *workloadTables, cfg *core.Config) (*core.Result, bool, e
 	} else {
 		metricFallback.Inc()
 	}
-	compute := func() (*core.Result, error) {
+	v, err := e.Cache.Memo(&e.GPU, &e.CPU, &e.Bus, wt.prof, cfg, "", func() (runcache.Value, error) {
+		var r *core.Result
+		var err error
 		if fast {
-			return b.e.fastRun(wt, b.gt, b.ct, cfg)
+			r, err = e.fastRun(wt, b.gt, b.ct, cfg)
+		} else {
+			r, err = core.Run(testbed.NewFrom(e.GPU, e.CPU, e.Bus), wt.prof, *cfg)
 		}
-		return core.Run(testbed.NewFrom(b.e.GPU, b.e.CPU, b.e.Bus), wt.prof, *cfg)
-	}
-	if !cached {
-		r, err := compute()
-		return r, fast, err
-	}
-	v, err := b.e.Cache.Do(key, func() (runcache.Value, error) {
-		r, err := compute()
 		return runcache.Value{Result: r}, err
 	})
 	if err != nil {
@@ -380,7 +356,7 @@ func (e *Engine) RunContext(ctx context.Context, spec Spec) ([]PointResult, erro
 	if err != nil {
 		return nil, err
 	}
-	base := e.baseConfig(&spec)
+	base := baseConfig(&spec)
 	metricBatches.Inc()
 	return parallel.Map(ctx, pts,
 		func(_ context.Context, _ int, pt Point) (PointResult, error) {
@@ -476,11 +452,11 @@ func newWorkloadTables(prof *workload.Profile, gt *gpusim.Tables, b *bus.Config)
 // machine.
 //
 // Every baseline iteration is identical — same levels, same demands, same
-// bus window — so the per-phase durations and energy increments are
-// derived once per point and replayed per iteration as pure accumulation.
-// The one thing that could differ between iterations is clock saturation
-// near MaxTime; when the run could get anywhere near it, the evaluator
-// uses the exact per-event loop instead.
+// bus window — so each positive-length phase's duration, power and energy
+// are derived once per point. The replay advances the clock window by
+// window with the engine's saturating sim.AddTime and accrues each
+// window's precomputed energy; a window clipped at sim.MaxTime accrues its
+// power over the clipped length instead, as the device does.
 func (e *Engine) fastRun(wt *workloadTables, gt *gpusim.Tables, ct *cpusim.Tables, cfg *core.Config) (*core.Result, error) {
 	c := len(e.GPU.CoreLevels) - 1
 	m := len(e.GPU.MemLevels) - 1
@@ -500,52 +476,30 @@ func (e *Engine) fastRun(wt *workloadTables, gt *gpusim.Tables, ct *cpusim.Table
 	if iters < 1 {
 		iters = 1 // the framework loop always runs one iteration
 	}
-
 	cpuBusy := 0
 	if cfg.SpinWait {
 		cpuBusy = 1
 	}
-	pe := pointEval{
-		core: c, mem: m, cpu: cpuLvl,
-		idleP: gt.Power(c, m, 0, 0),
-		cpuP:  ct.PowerAt(cpuLvl, cpuBusy),
-		spin:  cfg.SpinWait,
-	}
+	cpuP := ct.PowerAt(cpuLvl, cpuBusy)
 
-	// Per-point precompute: phase durations and energies at (c, m),
-	// pulled from the batch's shared per-domain columns. A point with an
-	// oversized phase list or a run long enough to approach the clock's
-	// saturation range takes the per-event evaluator instead.
-	exact := len(wt.phases) > len(pe.phases)
-	span := wt.busTime
-	if !exact {
-		for p := range wt.phases {
-			ph := &wt.phases[p]
-			tc, tm := ph.tc[c], ph.tm[m]
-			t := gpusim.UnifyPhaseTime(tc, tm, ph.stall, wt.gamma)
-			if t <= 0 {
-				continue // zero-length phase: completes without accrual
-			}
-			uc := units.Clamp(tc.Seconds()/t.Seconds(), 0, 1)
-			um := units.Clamp(tm.Seconds()/t.Seconds(), 0, 1)
-			pe.phases[pe.nPhases] = phaseEval{
-				dt:     t,
-				energy: gt.Power(c, m, uc, um).Over(t),
-			}
-			pe.nPhases++
-			if t > sim.MaxTime-span {
-				exact = true
-				break
-			}
-			span += t
+	// Per-point precompute, pulled from the batch's shared per-domain
+	// columns: the host→device transfer window, which the GPU accrues idle
+	// when the kernel starts, then one window per positive-length phase.
+	// The array keeps testbed-sized profiles on the stack.
+	xfer := newWindow(wt.busTime, gt.Power(c, m, 0, 0))
+	var buf [16]window
+	phases := buf[:0]
+	for p := range wt.phases {
+		ph := &wt.phases[p]
+		tc, tm := ph.tc[c], ph.tm[m]
+		t := gpusim.UnifyPhaseTime(tc, tm, ph.stall, wt.gamma)
+		if t <= 0 {
+			continue // zero-length phase: completes without accrual
 		}
+		uc := units.Clamp(tc.Seconds()/t.Seconds(), 0, 1)
+		um := units.Clamp(tm.Seconds()/t.Seconds(), 0, 1)
+		phases = append(phases, newWindow(t, gt.Power(c, m, uc, um)))
 	}
-	if exact || (span > 0 && time.Duration(iters) > sim.MaxTime/span) {
-		return e.fastRunExact(wt, gt, &pe, cfg, iters), nil
-	}
-	iterWall := span
-	idleE := pe.idleP.Over(wt.busTime)
-	cpuEIter := pe.cpuP.Over(span)
 
 	res := newFastResult(wt.prof.Name, cfg.Mode, iters)
 	var now time.Duration
@@ -553,25 +507,23 @@ func (e *Engine) fastRun(wt *workloadTables, gt *gpusim.Tables, ct *cpusim.Table
 	var spinT time.Duration
 	for i := 0; i < iters; i++ {
 		startGPU, startCPU := gpuE, cpuE
-		// Host→device transfer window: the GPU accrues it idle when the
-		// kernel starts; then one accrual per positive-length phase.
-		if wt.busTime > 0 {
-			gpuE += idleE
-		}
-		for p := 0; p < pe.nPhases; p++ {
-			gpuE += pe.phases[p].energy
+		iterStart := now
+		now = xfer.accrue(now, &gpuE)
+		for p := range phases {
+			now = phases[p].accrue(now, &gpuE)
 		}
 		// The CPU side has no work (r = 0): it accrues once per
 		// iteration over the whole wall time, spinning one core when
 		// SpinWait models the synchronous CUDA wait.
+		iterWall := now - iterStart
 		if iterWall > 0 {
+			cpuEIter := cpuP.Over(iterWall)
 			cpuE += cpuEIter
-			if pe.spin {
+			if cfg.SpinWait {
 				spinT += iterWall
 				spinE += cpuEIter
 			}
 		}
-		now += iterWall
 		st := &res.Iterations[i]
 		st.Index = i
 		st.TG = iterWall
@@ -592,22 +544,31 @@ func (e *Engine) fastRun(wt *workloadTables, gt *gpusim.Tables, ct *cpusim.Table
 	return res, nil
 }
 
-// pointEval is one point's evaluation state. The phase array is fixed-size
-// so the whole struct lives on the evaluator's stack; profiles with more
-// phases (none on the testbed) use the per-event evaluator.
-type pointEval struct {
-	core, mem, cpu int
-	idleP          units.Power
-	cpuP           units.Power
-	spin           bool
-	nPhases        int
-	phases         [16]phaseEval
+// window is one GPU accrual window at the point's levels: its length, the
+// device power over it, and the energy of the whole window.
+type window struct {
+	dt     time.Duration
+	power  units.Power
+	energy units.Energy
 }
 
-// phaseEval is one positive-length phase at the point's levels.
-type phaseEval struct {
-	dt     time.Duration
-	energy units.Energy
+func newWindow(dt time.Duration, p units.Power) window {
+	return window{dt: dt, power: p, energy: p.Over(dt)}
+}
+
+// accrue advances the clock past the window with the engine's saturation
+// rule, adding the window's energy to e — the power over the clipped
+// length when the clock saturated — and returns the new clock.
+func (w *window) accrue(now time.Duration, e *units.Energy) time.Duration {
+	next := sim.AddTime(now, w.dt)
+	switch dt := next - now; {
+	case dt <= 0:
+	case dt == w.dt:
+		*e += w.energy
+	default:
+		*e += w.power.Over(dt)
+	}
+	return next
 }
 
 // resultBuf backs a result and its iteration stats with one allocation.
@@ -628,68 +589,6 @@ func newFastResult(name string, mode core.Mode, iters int) *core.Result {
 		buf.res.Iterations = make([]core.IterationStats, iters)
 	}
 	return &buf.res
-}
-
-// fastRunExact is the saturation-safe evaluator: it advances the clock
-// event by event with the engine's saturation rule (sim.AddTime for phase
-// ends and transfer windows alike), re-deriving each phase's time and
-// utilizations per iteration exactly as the device does.
-func (e *Engine) fastRunExact(wt *workloadTables, gt *gpusim.Tables, pe *pointEval, cfg *core.Config, iters int) *core.Result {
-	res := newFastResult(wt.prof.Name, cfg.Mode, iters)
-	c, m := pe.core, pe.mem
-	var now time.Duration
-	var gpuE, cpuE, spinE units.Energy
-	var spinT time.Duration
-	for i := 0; i < iters; i++ {
-		startGPU, startCPU := gpuE, cpuE
-		iterStart := now
-		busEnd := sim.AddTime(iterStart, wt.busTime)
-		if dt := busEnd - now; dt > 0 {
-			gpuE += pe.idleP.Over(dt)
-		}
-		now = busEnd
-		for p := range wt.phases {
-			ph := &wt.phases[p]
-			tc, tm := ph.tc[c], ph.tm[m]
-			t := gpusim.UnifyPhaseTime(tc, tm, ph.stall, wt.gamma)
-			if t <= 0 {
-				continue
-			}
-			next := sim.AddTime(now, t)
-			if dt := next - now; dt > 0 {
-				uc := units.Clamp(tc.Seconds()/t.Seconds(), 0, 1)
-				um := units.Clamp(tm.Seconds()/t.Seconds(), 0, 1)
-				gpuE += gt.Power(c, m, uc, um).Over(dt)
-			}
-			now = next
-		}
-		iterWall := now - iterStart
-		if iterWall > 0 {
-			cpuEIter := pe.cpuP.Over(iterWall)
-			cpuE += cpuEIter
-			if pe.spin {
-				spinT += iterWall
-				spinE += cpuEIter
-			}
-		}
-		st := &res.Iterations[i]
-		st.Index = i
-		st.TG = iterWall
-		st.WallTime = iterWall
-		st.CoreLevel = c
-		st.MemLevel = m
-		st.CPULevel = pe.cpu
-		st.EnergyGPU = gpuE - startGPU
-		st.EnergyCPU = cpuE - startCPU
-		st.Energy = st.EnergyGPU + st.EnergyCPU
-	}
-	res.TotalTime = now
-	res.EnergyGPU = gpuE
-	res.EnergyCPU = cpuE
-	res.Energy = res.EnergyGPU + res.EnergyCPU
-	res.SpinTime = spinT
-	res.SpinEnergy = spinE
-	return res
 }
 
 // Table renders results as the suite's standard trace table: one row per

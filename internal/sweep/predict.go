@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"greengpu/internal/core"
 	"greengpu/internal/predict"
 	"greengpu/internal/runcache"
 	"greengpu/internal/telemetry"
@@ -64,13 +63,19 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 	// carries only the shared device tables so the sample closure captures
 	// it without a heap allocation.
 	b := Batch{e: e, gt: gt, ct: ct}
-	base := e.baseConfig(&spec)
+	// Admitted once up front: the search is keyed on the configuration its
+	// ladder points evaluate under, ambient fault plan included.
+	base := baseConfig(&spec)
+	if err := e.admit(&base); err != nil {
+		return nil, err
+	}
 
-	coreF := make([]units.Frequency, len(cores))
+	// Both resolved ladders' frequencies share one allocation.
+	freqs := make([]units.Frequency, len(cores)+len(mems))
+	coreF, memF := freqs[:len(cores):len(cores)], freqs[len(cores):]
 	for i, c := range cores {
 		coreF[i] = e.GPU.CoreLevels[c]
 	}
-	memF := make([]units.Frequency, len(mems))
 	for i, m := range mems {
 		memF[i] = e.GPU.MemLevels[m]
 	}
@@ -83,7 +88,11 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 			return nil, err
 		}
 		wt := newWorkloadTables(prof, gt, &e.Bus)
-		search := func() (predict.Outcome, error) {
+		// The whole outcome is memoized: anchors must stay in the verified
+		// set (a corner anchor may be the optimum), so memoizing only the
+		// fitted coefficients would change warm-run outcomes; memoizing the
+		// search itself keeps warm and cold runs byte-identical.
+		v, err := e.Cache.Memo(&e.GPU, &e.CPU, &e.Bus, prof, &base, variant, func() (runcache.Value, error) {
 			oc, err := predict.SweetSpot(coreF, memF, func(ci, mi int) (predict.Sample, error) {
 				pt := Point{Workload: n, Draw: -1, Core: cores[ci], Mem: mems[mi], CPU: cpuLvl}
 				pr, err := b.evalPoint(wt, &spec, &base, pt)
@@ -94,44 +103,21 @@ func (e *Engine) PredictSweetSpots(spec Spec, opts predict.Options) ([]SpotResul
 					Time: pr.Result.TotalTime, Energy: pr.Result.Energy}, nil
 			}, opts)
 			if err != nil {
-				return oc, err
+				return runcache.Value{}, err
 			}
 			// Map the resolved-ladder indices back onto the device ladder
 			// before the outcome is returned (or memoized).
 			oc.Core, oc.Mem = cores[oc.Core], mems[oc.Mem]
-			return oc, nil
-		}
-		oc, err := e.memoizedSearch(&base, prof, variant, search)
+			return runcache.Value{Predict: &oc}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
+		oc := *v.Predict
 		e.stampPredict(n, oc, cpuLvl)
 		out = append(out, SpotResult{Workload: n, Outcome: oc})
 	}
 	return out, nil
-}
-
-// memoizedSearch runs (or replays) one workload's search through the run
-// cache. The stored value is the whole outcome: anchors must stay in the
-// verified set (a corner anchor may be the optimum), so memoizing only the
-// fitted coefficients would change warm-run outcomes; memoizing the search
-// itself keeps warm and cold runs byte-identical.
-func (e *Engine) memoizedSearch(base *core.Config, prof *workload.Profile, variant string, search func() (predict.Outcome, error)) (predict.Outcome, error) {
-	if e.Cache == nil || !runcache.Cacheable(base) {
-		return search()
-	}
-	key := runcache.KeyOf(&e.GPU, &e.CPU, &e.Bus, prof, base, variant)
-	v, err := e.Cache.Do(key, func() (runcache.Value, error) {
-		oc, err := search()
-		if err != nil {
-			return runcache.Value{}, err
-		}
-		return runcache.Value{Predict: &oc}, nil
-	})
-	if err != nil {
-		return predict.Outcome{}, err
-	}
-	return *v.Predict, nil
 }
 
 // predictVariant names the search flavour for the run cache: everything

@@ -224,9 +224,8 @@ func TestPredictFlightRecord(t *testing.T) {
 // closed-form evaluator cannot express — dynamic control modes, an armed
 // ambient fault plan, Monte Carlo draws — and checks each point both
 // bypasses the fast path and is counted on the fallback telemetry metric.
-// A baseline control row pins the complementary fast-path count, and a
-// clock-saturating profile shows horizon saturation stays on the fast path
-// (the exact evaluator) while still matching the per-point engine.
+// A baseline control row pins the complementary fast-path count;
+// TestRunSaturationStaysFast covers horizon saturation.
 func TestRunFallbackMatrix(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
@@ -279,8 +278,9 @@ func TestRunFallbackMatrix(t *testing.T) {
 }
 
 // TestRunSaturationStaysFast: a profile whose span drives the clock into
-// its saturation range takes the exact closed-form evaluator — still the
-// fast path — and remains byte-identical to the per-point engine.
+// its saturation range stays on the closed form, whose windows clip at the
+// horizon as the engine's do, and remains byte-identical to the per-point
+// engine.
 func TestRunSaturationStaysFast(t *testing.T) {
 	e := testEngine(t)
 	// 4 × 2.4e9 s crosses the ~292-year clock horizon inside the FINAL

@@ -25,6 +25,15 @@ func testEngine(t testing.TB) *Engine {
 	return &Engine{GPU: gpu, CPU: cpu, Bus: b, Profiles: profiles, Jobs: 1}
 }
 
+// config is the configuration the engine evaluates one point of spec
+// under, ambient fault plan aside.
+func (e *Engine) config(spec *Spec, pt Point) core.Config {
+	cfg := baseConfig(spec)
+	var lv core.Levels
+	specialize(&cfg, spec, pt, &lv)
+	return cfg
+}
+
 // naiveRun evaluates the expanded points one at a time on fresh machines —
 // the exact per-point path the batch evaluator must reproduce.
 func naiveRun(t testing.TB, e *Engine, spec Spec) []*core.Result {
