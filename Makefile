@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt fmtcheck vet build test race bench bench-stable bench-json bench-gate bench-sweep-json bench-sweep-gate bench-fleet-json bench-fleet-gate bench-daemon-json bench-daemon-gate bench-gates bench-experiments daemon-smoke daemon-crash-smoke golden determinism chaos predict-gate lint-docs linkcheck check
+.PHONY: fmt fmtcheck vet build test race bench bench-stable bench-json bench-gate bench-sweep-json bench-sweep-gate bench-fleet-json bench-fleet-gate bench-daemon-json bench-daemon-gate bench-gates bench-experiments daemon-smoke daemon-crash-smoke golden determinism chaos predict-gate lint-docs linkcheck loc check
 
 fmt:
 	gofmt -w .
@@ -305,5 +305,11 @@ lint-docs:
 
 linkcheck:
 	$(GO) run ./cmd/linkcheck README.md DESIGN.md ROADMAP.md CHANGES.md docs
+
+# loc prints the Go line counts ROADMAP.md tracks: tracked *.go files
+# outside perfbench/ (its own module), split into non-test and test lines.
+loc:
+	@printf 'non-test Go lines: %s\n' $$(git ls-files '*.go' ':!:perfbench/*' | grep -v '_test\.go$$' | xargs cat | wc -l)
+	@printf 'test Go lines:     %s\n' $$(git ls-files '*_test.go' ':!:perfbench/*' | xargs cat | wc -l)
 
 check: fmtcheck vet build race bench determinism chaos daemon-smoke daemon-crash-smoke bench-gate bench-sweep-gate bench-fleet-gate bench-daemon-gate predict-gate lint-docs linkcheck

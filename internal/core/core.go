@@ -99,11 +99,6 @@ type Config struct {
 	// comparator from the paper's related work ([9], [12]). It only
 	// affects energy on devices with PowerParams.CoreGatable > 0.
 	SMScaling bool
-	// CPUGovernor drives the processor P-state when tier 2 is active.
-	// Nil selects the Linux ondemand governor, as in the paper.
-	CPUGovernor governor.Policy
-	// CPUGovernorInterval is the governor's sampling period.
-	CPUGovernorInterval time.Duration
 
 	// Division holds tier 1's parameters (step, initial ratio, safeguard).
 	Division division.Config
@@ -136,11 +131,6 @@ type Config struct {
 	// division; must be in [0,1].
 	StaticRatio *float64
 
-	// SensorFilter, if non-nil, transforms the GPU utilization readings
-	// before they reach the scaler. It exists for fault injection —
-	// noisy or dropped nvidia-smi samples — in robustness studies.
-	SensorFilter func(uCore, uMem float64) (float64, float64)
-
 	// ActuatorFilter, if non-nil, transforms the scaler's decision before
 	// it is enforced on the device. It exists for fault injection —
 	// stuck or clamped clock actuators (a flaky nvidia-settings) — in
@@ -151,21 +141,15 @@ type Config struct {
 	// FaultPlan, when non-nil and not Zero, injects the deterministic
 	// sensor, actuator, meter and straggler faults of internal/faultinject
 	// and arms the hardened recovery paths (hold-last-good, retry with
-	// backoff, watchdog failsafe — see Recovery). Unlike SensorFilter and
-	// ActuatorFilter the plan is pure data, so faulty runs stay cacheable:
-	// the run cache fingerprints the plan into the point key. A nil or
-	// Zero plan leaves the control loop byte-identical to a build without
-	// fault injection.
+	// backoff, watchdog failsafe at the dvfs.GuardConfig defaults). It is
+	// the only sensor-fault seam, and unlike ActuatorFilter it is pure
+	// data, so faulty runs stay cacheable: the run cache fingerprints the
+	// plan into the point key. A nil or Zero plan leaves the control loop
+	// byte-identical to a build without fault injection.
 	FaultPlan *faultinject.Plan
-
-	// Recovery tunes the hardened recovery paths armed by FaultPlan. The
-	// zero value selects the documented defaults.
-	Recovery RecoveryConfig
 
 	// OnDVFS, if non-nil, observes every tier 2 decision.
 	OnDVFS func(at time.Duration, uCore, uMem float64, d dvfs.Decision)
-	// OnCPUGovernor, if non-nil, observes every CPU governor decision.
-	OnCPUGovernor func(at time.Duration, util float64, level int)
 	// OnIteration, if non-nil, observes every completed iteration.
 	OnIteration func(IterationStats)
 }
@@ -173,35 +157,6 @@ type Config struct {
 // Levels names a clock operating point across the machine's domains.
 type Levels struct {
 	Core, Mem, CPU int
-}
-
-// RecoveryConfig tunes the hardened control paths used when a fault plan
-// is armed. Zero fields take the dvfs.GuardConfig defaults.
-type RecoveryConfig struct {
-	// WatchdogK is the consecutive-transition-failure count that trips
-	// the watchdog onto the failsafe (peak) levels. Default 3.
-	WatchdogK int
-	// BackoffMax caps the transition-retry backoff in epochs. Default 8.
-	BackoffMax int
-	// FailsafeHold is how many epochs the failsafe levels are pinned
-	// after a watchdog trip. Default 8.
-	FailsafeHold int
-}
-
-// Validate reports the first problem with the configuration, if any.
-func (c *RecoveryConfig) Validate() error {
-	g := dvfs.GuardConfig{WatchdogK: c.WatchdogK, BackoffMax: c.BackoffMax, FailsafeHold: c.FailsafeHold}
-	return g.Validate()
-}
-
-// guardConfig builds the dvfs guard configuration for the given failsafe.
-func (c *RecoveryConfig) guardConfig(failsafe dvfs.Decision) dvfs.GuardConfig {
-	return dvfs.GuardConfig{
-		WatchdogK:    c.WatchdogK,
-		BackoffMax:   c.BackoffMax,
-		FailsafeHold: c.FailsafeHold,
-		Failsafe:     failsafe,
-	}
 }
 
 // RecoveryCounts tallies the recovery actions the hardened control paths
@@ -233,15 +188,17 @@ func (c RecoveryCounts) Sub(earlier RecoveryCounts) RecoveryCounts {
 	}
 }
 
+// cpuGovernorInterval is the ondemand governor's sampling period.
+const cpuGovernorInterval = time.Second
+
 // DefaultConfig returns the paper's settings for the given mode.
 func DefaultConfig(mode Mode) Config {
 	return Config{
-		Mode:                mode,
-		DVFSInterval:        3 * time.Second,
-		GPUScaler:           dvfs.DefaultParams(),
-		CPUGovernorInterval: time.Second,
-		Division:            division.DefaultConfig(),
-		SpinWait:            true,
+		Mode:         mode,
+		DVFSInterval: 3 * time.Second,
+		GPUScaler:    dvfs.DefaultParams(),
+		Division:     division.DefaultConfig(),
+		SpinWait:     true,
 	}
 }
 
@@ -253,9 +210,6 @@ func (c *Config) Validate() error {
 	if c.Mode.scales() {
 		if c.DVFSInterval <= 0 {
 			return fmt.Errorf("core: DVFSInterval must be positive")
-		}
-		if c.CPUGovernorInterval <= 0 {
-			return fmt.Errorf("core: CPUGovernorInterval must be positive")
 		}
 		if err := c.GPUScaler.Validate(); err != nil {
 			return err
@@ -278,12 +232,7 @@ func (c *Config) Validate() error {
 		}
 	}
 	if c.FaultPlan != nil {
-		if err := c.FaultPlan.Validate(); err != nil {
-			return err
-		}
-	}
-	if err := c.Recovery.Validate(); err != nil {
-		return err
+		return c.FaultPlan.Validate()
 	}
 	return nil
 }
@@ -510,22 +459,19 @@ func (f *framework) run() (*Result, error) {
 		} else {
 			f.scaler = dvfs.NewScaler(gpu.CoreLevels(), gpu.MemLevels(), cfg.GPUScaler)
 		}
-		f.cpuGov = cfg.CPUGovernor
-		if f.cpuGov == nil {
-			f.cpuGov = governor.NewOndemand()
-		}
+		f.cpuGov = governor.NewOndemand()
 		if f.injector != nil {
 			// Harden both control loops: guards gate every transition and
 			// hold-last-good covers dropped samples; the failsafe is the
 			// peak (performance-safe) operating point of each domain.
 			f.gpuGuard = dvfs.NewGuard(
-				cfg.Recovery.guardConfig(dvfs.Decision{
+				dvfs.GuardConfig{Failsafe: dvfs.Decision{
 					CoreLevel: len(gpu.CoreLevels()) - 1,
 					MemLevel:  len(gpu.MemLevels()) - 1,
-				}),
+				}},
 				dvfs.Decision{CoreLevel: gpu.CoreLevel(), MemLevel: gpu.MemLevel()})
 			f.cpuGuard = dvfs.NewGuard(
-				cfg.Recovery.guardConfig(dvfs.Decision{CoreLevel: cpu.Levels() - 1}),
+				dvfs.GuardConfig{Failsafe: dvfs.Decision{CoreLevel: cpu.Levels() - 1}},
 				dvfs.Decision{CoreLevel: cpu.Level()})
 			f.hardGov = governor.Harden(f.cpuGov)
 			f.cpuGov = f.hardGov
@@ -546,9 +492,6 @@ func (f *framework) run() (*Result, error) {
 				// so fault counts never depend on who is watching.
 				meterFault = f.injector.Meter()
 				uc, um = f.injector.GPUSensor(uc, um)
-			}
-			if cfg.SensorFilter != nil {
-				uc, um = cfg.SensorFilter(uc, um)
 			}
 			held := false
 			if f.gpuGuard != nil {
@@ -605,7 +548,7 @@ func (f *framework) run() (*Result, error) {
 				})
 			}
 		})
-		f.govTicker = m.Engine.Every(cfg.CPUGovernorInterval, "tier2:cpu-governor", func() {
+		f.govTicker = m.Engine.Every(cpuGovernorInterval, "tier2:cpu-governor", func() {
 			u := cpu.MaxCoreUtilization()
 			if f.injector != nil {
 				u = f.injector.CPUSensor(u)
@@ -617,9 +560,6 @@ func (f *framework) run() (*Result, error) {
 				next = f.cpuGuard.Step(dvfs.Decision{CoreLevel: next}, f.cpuGate).CoreLevel
 			}
 			cpu.SetLevel(next)
-			if cfg.OnCPUGovernor != nil {
-				cfg.OnCPUGovernor(m.Engine.Now(), u, next)
-			}
 		})
 	}
 

@@ -8,7 +8,6 @@ import (
 	"greengpu/internal/cpusim"
 	"greengpu/internal/division"
 	"greengpu/internal/dvfs"
-	"greengpu/internal/governor"
 	"greengpu/internal/testbed"
 	"greengpu/internal/workload"
 )
@@ -66,7 +65,6 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"bad mode", func(c *Config) { c.Mode = Mode(9) }},
 		{"zero dvfs interval", func(c *Config) { c.DVFSInterval = 0 }},
-		{"zero governor interval", func(c *Config) { c.CPUGovernorInterval = 0 }},
 		{"bad scaler", func(c *Config) { c.GPUScaler.Beta = 2 }},
 		{"bad division", func(c *Config) { c.Division.Step = 0 }},
 		{"negative iterations", func(c *Config) { c.Iterations = -1 }},
@@ -238,18 +236,14 @@ func TestIterationStatsConsistency(t *testing.T) {
 }
 
 func TestObserverCallbacks(t *testing.T) {
-	dvfsCalls, govCalls, iterCalls := 0, 0, 0
+	dvfsCalls, iterCalls := 0, 0
 	runMode(t, "hotspot", Holistic, func(c *Config) {
 		c.Iterations = 3
 		c.OnDVFS = func(_ time.Duration, _, _ float64, _ dvfs.Decision) { dvfsCalls++ }
-		c.OnCPUGovernor = func(_ time.Duration, _ float64, _ int) { govCalls++ }
 		c.OnIteration = func(_ IterationStats) { iterCalls++ }
 	})
 	if dvfsCalls == 0 {
 		t.Error("OnDVFS never fired")
-	}
-	if govCalls == 0 {
-		t.Error("OnCPUGovernor never fired")
 	}
 	if iterCalls != 3 {
 		t.Errorf("OnIteration fired %d times, want 3", iterCalls)
@@ -400,24 +394,35 @@ func TestDivisionPolicySkipsConfigValidation(t *testing.T) {
 	}
 }
 
-func TestConservativeGovernorIntegration(t *testing.T) {
-	p := profileByName(t, "lud")
-	cfg := DefaultConfig(FreqScaling)
-	cfg.Iterations = 4
-	cfg.CPUGovernor = governor.NewConservative()
-	levels := map[int]bool{}
-	cfg.OnCPUGovernor = func(_ time.Duration, _ float64, level int) {
-		levels[level] = true
-	}
-	if _, err := Run(testbed.New(), p, cfg); err != nil {
-		t.Fatal(err)
-	}
-	// Conservative climbs one step at a time from the boot level (0), so
-	// every level above it must have been enforced on the way up.
-	for want := 1; want < 4; want++ {
-		if !levels[want] {
-			t.Errorf("conservative governor never enforced level %d (visited %v)", want, levels)
+// TestOndemandIntegration checks tier 2's ondemand governor end to end
+// through the P-state each iteration ends at. Scaling modes boot the CPU
+// at level 0.
+func TestOndemandIntegration(t *testing.T) {
+	cpuLevels := func(res *Result) map[int]int {
+		seen := map[int]int{}
+		for _, it := range res.Iterations {
+			seen[it.CPULevel]++
 		}
+		return seen
+	}
+	// A spin-waiting core reads 100% busy, so ondemand jumps to the top
+	// P-state and the spin keeps it there.
+	res := runMode(t, "kmeans", FreqScaling, nil)
+	if got := cpuLevels(res); got[3] != len(res.Iterations) {
+		t.Errorf("spin-wait: iteration CPU levels %v, want every iteration at 3", got)
+	}
+	// Without spinning the all-GPU CPU side is idle: ondemand never leaves
+	// the boot level.
+	res = runMode(t, "kmeans", FreqScaling, func(c *Config) { c.SpinWait = false })
+	if got := cpuLevels(res); got[0] != len(res.Iterations) {
+		t.Errorf("no spin-wait: iteration CPU levels %v, want every iteration at 0", got)
+	}
+	// With division and no spinning the CPU alternates between its own
+	// share of the work and idle waits, so the governor moves it between
+	// levels.
+	res = runMode(t, "kmeans", Holistic, func(c *Config) { c.SpinWait = false })
+	if got := cpuLevels(res); len(got) < 2 {
+		t.Errorf("holistic: iteration CPU levels %v, want more than one level", got)
 	}
 }
 

@@ -209,8 +209,8 @@ const sensorNoiseSeed = 42
 // executed, in what order, on how many workers, or which other sigmas
 // appear in the sweep. Each row is therefore a pure function of
 // (workload, sigma) under any execution schedule — and, because a fault
-// plan is plain data where the old SensorFilter closure was opaque code,
-// the rows now memoize through the run cache too.
+// plan is plain data where the sensor-filter closure it replaced was
+// opaque code, the rows now memoize through the run cache too.
 // TestAblationSensorNoiseGolden pins the rendered CSV byte-for-byte
 // against the pre-rewire results/ablations_5.csv.
 func (e *Env) AblationSensorNoise(name string, sigmas []float64) ([]NoiseRow, error) {

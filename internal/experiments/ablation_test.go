@@ -66,7 +66,7 @@ func TestAblationSensorNoiseGracefulDegradation(t *testing.T) {
 }
 
 // TestAblationSensorNoiseGolden pins the faultinject rewire of the sensor
-// noise ablation against the CSV the pre-rewire SensorFilter closure
+// noise ablation against the CSV the pre-rewire sensor-filter closure
 // produced: the injector's GPU-noise channel must reproduce the historical
 // seed derivation and draw order exactly, byte-for-byte.
 func TestAblationSensorNoiseGolden(t *testing.T) {

@@ -70,11 +70,11 @@ type Env struct {
 	// Because every run is deterministic and cached results are returned
 	// as private deep copies, results are bit-identical with the cache on
 	// or off, cold or warm. Runs whose configuration carries observers,
-	// filters, or custom policies bypass the cache (see
-	// runcache.Cacheable). Derived environments share this cache: points
-	// are keyed by their full device configs and recalibrated profile, so
-	// an identically-configured derived env hits, a different one cannot
-	// collide.
+	// an actuator filter, or a custom division policy bypass the cache
+	// (see runcache.Cacheable). Derived environments share this cache:
+	// points are keyed by their full device configs and recalibrated
+	// profile, so an identically-configured derived env hits, a different
+	// one cannot collide.
 	Cache *runcache.Cache
 }
 

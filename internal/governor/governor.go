@@ -1,6 +1,6 @@
-// Package governor implements CPU frequency governors: the Linux ondemand
-// governor that GreenGPU adopts for the CPU tier (paper §IV), plus the fixed
-// policies used as baselines in the evaluation.
+// Package governor implements the Linux ondemand CPU frequency governor
+// that GreenGPU adopts unchanged for the CPU tier (paper §IV), and a
+// hardened wrapper that keeps it sane under sensor faults.
 //
 // The ondemand behaviour follows Pallipadi & Starikovskiy's description,
 // which the paper quotes: "If CPU utilization rises above an upper
@@ -10,11 +10,7 @@
 // next lowest frequency."
 package governor
 
-import (
-	"fmt"
-
-	"greengpu/internal/telemetry"
-)
+import "greengpu/internal/telemetry"
 
 // Package metrics (see docs/OBSERVABILITY.md). No-ops unless telemetry is
 // enabled.
@@ -31,137 +27,43 @@ var (
 type Policy interface {
 	// Next returns the level to enforce for the coming interval.
 	Next(util float64, current, nLevels int) int
-	// Name identifies the policy in traces and experiment output.
-	Name() string
 }
+
+// Ondemand's thresholds.
+const (
+	// upThreshold jumps straight to the highest level when exceeded.
+	// Linux's default is 0.80.
+	upThreshold = 0.80
+	// downThreshold steps one level down when utilization falls below it.
+	// Linux derives it as upThreshold minus a down-differential of 10
+	// points by default; 0.30 matches the kernel's conservative effective
+	// behaviour for mostly-idle loads.
+	downThreshold = 0.30
+)
 
 // Ondemand is the Linux ondemand governor (linux-2.6.9 and later).
-type Ondemand struct {
-	// UpThreshold jumps straight to the highest level when exceeded.
-	// Linux's default is 0.80.
-	UpThreshold float64
-	// DownThreshold steps one level down when utilization falls below it.
-	// Linux derives it as UpThreshold minus a down-differential of 10
-	// points by default; 0.30 matches the kernel's conservative effective
-	// behaviour for mostly-idle loads and is what we default to.
-	DownThreshold float64
-}
+type Ondemand struct{}
 
-// NewOndemand returns an ondemand governor with the default thresholds.
-func NewOndemand() *Ondemand {
-	return &Ondemand{UpThreshold: 0.80, DownThreshold: 0.30}
-}
+// NewOndemand returns an ondemand governor.
+func NewOndemand() *Ondemand { return &Ondemand{} }
 
-// Validate reports the first problem with the thresholds, if any.
-func (o *Ondemand) Validate() error {
-	if o.UpThreshold <= 0 || o.UpThreshold > 1 {
-		return fmt.Errorf("governor: UpThreshold = %v, must be in (0,1]", o.UpThreshold)
-	}
-	if o.DownThreshold < 0 || o.DownThreshold >= o.UpThreshold {
-		return fmt.Errorf("governor: DownThreshold = %v, must be in [0, UpThreshold)", o.DownThreshold)
-	}
-	return nil
-}
-
-// Name implements Policy.
-func (o *Ondemand) Name() string { return "ondemand" }
-
-// Next implements Policy: above UpThreshold jump to the top level; below
-// DownThreshold step down one level; otherwise hold.
-func (o *Ondemand) Next(util float64, current, nLevels int) int {
+// Next implements Policy: above upThreshold jump to the top level; below
+// downThreshold step down one level; otherwise hold.
+func (*Ondemand) Next(util float64, current, nLevels int) int {
 	if nLevels <= 0 {
 		panic("governor: nLevels must be positive")
 	}
 	metricDecisions.Inc()
 	current = clampLevel(current, nLevels)
 	switch {
-	case util > o.UpThreshold:
+	case util > upThreshold:
 		metricJumpsToMax.Inc()
 		return nLevels - 1
-	case util < o.DownThreshold && current > 0:
+	case util < downThreshold && current > 0:
 		return current - 1
 	default:
 		return current
 	}
-}
-
-// Conservative is the Linux conservative governor: like ondemand but it
-// steps the frequency up gradually (one level per decision) instead of
-// jumping straight to the maximum. The paper notes that other DVFS
-// strategies can be slotted into GreenGPU's CPU tier; this is the other
-// stock-kernel option.
-type Conservative struct {
-	UpThreshold   float64
-	DownThreshold float64
-}
-
-// NewConservative returns a conservative governor with the kernel's
-// default thresholds.
-func NewConservative() *Conservative {
-	return &Conservative{UpThreshold: 0.80, DownThreshold: 0.20}
-}
-
-// Validate reports the first problem with the thresholds, if any.
-func (c *Conservative) Validate() error {
-	if c.UpThreshold <= 0 || c.UpThreshold > 1 {
-		return fmt.Errorf("governor: UpThreshold = %v, must be in (0,1]", c.UpThreshold)
-	}
-	if c.DownThreshold < 0 || c.DownThreshold >= c.UpThreshold {
-		return fmt.Errorf("governor: DownThreshold = %v, must be in [0, UpThreshold)", c.DownThreshold)
-	}
-	return nil
-}
-
-// Name implements Policy.
-func (c *Conservative) Name() string { return "conservative" }
-
-// Next implements Policy: one step up above UpThreshold, one step down
-// below DownThreshold, hold in between.
-func (c *Conservative) Next(util float64, current, nLevels int) int {
-	if nLevels <= 0 {
-		panic("governor: nLevels must be positive")
-	}
-	metricDecisions.Inc()
-	current = clampLevel(current, nLevels)
-	switch {
-	case util > c.UpThreshold && current < nLevels-1:
-		return current + 1
-	case util < c.DownThreshold && current > 0:
-		return current - 1
-	default:
-		return current
-	}
-}
-
-// BestPerformance always selects the highest level — the paper's
-// best-performance baseline (§VII-A).
-type BestPerformance struct{}
-
-// Name implements Policy.
-func (BestPerformance) Name() string { return "best-performance" }
-
-// Next implements Policy.
-func (BestPerformance) Next(_ float64, _, nLevels int) int {
-	if nLevels <= 0 {
-		panic("governor: nLevels must be positive")
-	}
-	metricDecisions.Inc()
-	return nLevels - 1
-}
-
-// PowerSave always selects the lowest level.
-type PowerSave struct{}
-
-// Name implements Policy.
-func (PowerSave) Name() string { return "powersave" }
-
-// Next implements Policy.
-func (PowerSave) Next(_ float64, _, nLevels int) int {
-	if nLevels <= 0 {
-		panic("governor: nLevels must be positive")
-	}
-	metricDecisions.Inc()
-	return 0
 }
 
 func clampLevel(l, n int) int {

@@ -26,14 +26,8 @@ func Harden(p Policy) *Hardened {
 	return &Hardened{policy: p}
 }
 
-// Name implements Policy.
-func (h *Hardened) Name() string { return "hardened(" + h.policy.Name() + ")" }
-
 // Holds returns how many samples hold-last-good replaced.
 func (h *Hardened) Holds() uint64 { return h.holds }
-
-// Unwrap returns the wrapped policy.
-func (h *Hardened) Unwrap() Policy { return h.policy }
 
 // Next implements Policy.
 func (h *Hardened) Next(util float64, current, nLevels int) int {

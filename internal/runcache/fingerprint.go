@@ -37,15 +37,15 @@
 //     identity is exactly the simulator's reproducibility contract.
 //   - Optional pointer fields (InitialLevels, StaticRatio) encode a
 //     presence byte followed by the pointed-to value.
-//   - The encoding begins with schemaTag, which includes SchemaVersion.
+//   - The encoding begins with schemaTag followed by SchemaVersion, the
+//     same constant that names the disk layer's directory.
 //     Bump SchemaVersion whenever the simulation model, the calibration,
 //     or this encoding changes meaning: old fingerprints (and the disk
 //     entries filed under them) become unreachable rather than stale.
 //
-// Configurations carrying functions or interfaces (observers, filters,
-// custom division policies or CPU governors) have behaviour the fingerprint
-// cannot see; Cacheable reports false for them and callers must bypass the
-// cache.
+// Configurations carrying functions or interfaces (observers, the actuator
+// filter, a custom division policy) have behaviour the fingerprint cannot
+// see; Cacheable reports false for them and callers must bypass the cache.
 package runcache
 
 import (
@@ -68,23 +68,22 @@ import (
 // or power model edits, calibration changes, encoding changes, or new
 // fields on any encoded struct. Old disk entries are then simply never
 // looked up again (they live under the previous version's directory).
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // Key identifies one simulation point: a SHA-256 digest of the canonical
 // encoding. It is comparable and usable as a map key.
 type Key [sha256.Size]byte
 
 // Cacheable reports whether a framework configuration is fully captured by
-// the fingerprint. Configurations with observer callbacks, fault-injection
-// filters, or custom policy implementations carry behaviour in code the
-// encoding cannot name, so their runs must bypass the cache.
+// the fingerprint: it sets none of core.Config's four code-valued fields.
+// An actuator filter, a custom division policy, or an observer callback
+// carries behaviour in code the encoding cannot name, so such runs must
+// bypass the cache. This is the one list of those fields; the sweep
+// engine's closed-form eligibility check reuses it.
 func Cacheable(cfg *core.Config) bool {
-	return cfg.CPUGovernor == nil &&
+	return cfg.ActuatorFilter == nil &&
 		cfg.DivisionPolicy == nil &&
-		cfg.SensorFilter == nil &&
-		cfg.ActuatorFilter == nil &&
 		cfg.OnDVFS == nil &&
-		cfg.OnCPUGovernor == nil &&
 		cfg.OnIteration == nil
 }
 
@@ -100,6 +99,7 @@ func KeyOf(gpu *gpusim.Config, cpu *cpusim.Config, b *bus.Config, p *workload.Pr
 	}
 	e := encoder{h: sha256.New()}
 	e.str(tagSchema, schemaTag)
+	e.int(SchemaVersion)
 	e.str(tagVariant, variant)
 	e.gpuConfig(gpu)
 	e.cpuConfig(cpu)
@@ -111,9 +111,10 @@ func KeyOf(gpu *gpusim.Config, cpu *cpusim.Config, b *bus.Config, p *workload.Pr
 	return k
 }
 
-// schemaTag opens every encoding. It names the format and its version so a
-// digest can never be confused with one produced by a different scheme.
-const schemaTag = "greengpu/runcache/v2"
+// schemaTag opens every encoding, followed by SchemaVersion. Together they
+// name the format and its version so a digest can never be confused with
+// one produced by a different scheme.
+const schemaTag = "greengpu/runcache"
 
 // Field tags. Every encoded field leads with one; values are never adjacent
 // without a tag between them. The concrete numbers are arbitrary but
@@ -243,7 +244,6 @@ func (e *encoder) coreConfig(c *core.Config) {
 	e.float(c.GPUScaler.Beta)
 	e.bool(c.Fixed8Scaler)
 	e.bool(c.SMScaling)
-	e.dur(c.CPUGovernorInterval)
 	e.float(c.Division.Step)
 	e.float(c.Division.Initial)
 	e.float(c.Division.Min)
@@ -265,9 +265,6 @@ func (e *encoder) coreConfig(c *core.Config) {
 		e.tag(tagPresent)
 		e.float(*c.StaticRatio)
 	}
-	e.int(int64(c.Recovery.WatchdogK))
-	e.int(int64(c.Recovery.BackoffMax))
-	e.int(int64(c.Recovery.FailsafeHold))
 	// The fault plan is pure data, so faulty runs stay cacheable — every
 	// field reaches the hash. A nil plan and the Zero plan behave
 	// identically (no injection) but fingerprint differently; callers who

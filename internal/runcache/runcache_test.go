@@ -106,11 +106,6 @@ func TestKeySensitivity(t *testing.T) {
 		{"scaler params", func() Key { c := base(); c.GPUScaler.Beta = 0.5; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"fixed8", func() Key { c := base(); c.Fixed8Scaler = true; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"sm scaling", func() Key { c := base(); c.SMScaling = true; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
-		{"governor interval", func() Key {
-			c := base()
-			c.CPUGovernorInterval = 2 * time.Second
-			return KeyOf(&gpu, &cpu, &b, p, &c, "")
-		}},
 		{"division step", func() Key { c := base(); c.Division.Step = 0.1; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"safeguard", func() Key { c := base(); c.Division.Safeguard = false; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"spinwait", func() Key { c := base(); c.SpinWait = false; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
@@ -138,7 +133,6 @@ func TestKeySensitivity(t *testing.T) {
 			c.FaultPlan = &pl
 			return KeyOf(&gpu, &cpu, &b, p, &c, "")
 		}},
-		{"recovery watchdog", func() Key { c := base(); c.Recovery.WatchdogK = 5; return KeyOf(&gpu, &cpu, &b, p, &c, "") }},
 		{"static ratio", func() Key {
 			c := core.DefaultConfig(core.FreqScaling)
 			r := 0.2
@@ -220,12 +214,9 @@ func TestCacheable(t *testing.T) {
 		t.Error("default config reported non-cacheable")
 	}
 	cases := map[string]func(*core.Config){
-		"CPUGovernor":    func(c *core.Config) { c.CPUGovernor = governorStub{} },
 		"DivisionPolicy": func(c *core.Config) { c.DivisionPolicy = division.NewQilin(division.DefaultQilinConfig()) },
-		"SensorFilter":   func(c *core.Config) { c.SensorFilter = func(a, b float64) (float64, float64) { return a, b } },
 		"ActuatorFilter": func(c *core.Config) { c.ActuatorFilter = func(d dvfs.Decision) dvfs.Decision { return d } },
 		"OnDVFS":         func(c *core.Config) { c.OnDVFS = func(time.Duration, float64, float64, dvfs.Decision) {} },
-		"OnCPUGovernor":  func(c *core.Config) { c.OnCPUGovernor = func(time.Duration, float64, int) {} },
 		"OnIteration":    func(c *core.Config) { c.OnIteration = func(core.IterationStats) {} },
 	}
 	for name, set := range cases {
@@ -236,11 +227,6 @@ func TestCacheable(t *testing.T) {
 		}
 	}
 }
-
-type governorStub struct{}
-
-func (governorStub) Name() string                             { return "stub" }
-func (governorStub) Next(util float64, level, levels int) int { return level }
 
 func TestKeyOfPanicsOnNonCacheable(t *testing.T) {
 	gpu, cpu, b, p := fixture(t)
@@ -524,9 +510,8 @@ func TestFingerprintCoversConfigFields(t *testing.T) {
 		{"bus.Config", reflect.TypeOf(bus.Config{}), 3},
 		{"workload.Profile", reflect.TypeOf(workload.Profile{}), 9},
 		{"workload.PhaseSpec", reflect.TypeOf(workload.PhaseSpec{}), 5},
-		{"core.Config", reflect.TypeOf(core.Config{}), 20},
+		{"core.Config", reflect.TypeOf(core.Config{}), 15},
 		{"core.Levels", reflect.TypeOf(core.Levels{}), 3},
-		{"core.RecoveryConfig", reflect.TypeOf(core.RecoveryConfig{}), 3},
 		{"faultinject.Plan", reflect.TypeOf(faultinject.Plan{}), 15},
 		{"division.Config", reflect.TypeOf(division.Config{}), 5},
 		{"dvfs.Params", reflect.TypeOf(dvfs.Params{}), 4},

@@ -377,19 +377,13 @@ func (b Batch) evalPoint(wt *workloadTables, spec *Spec, base *core.Config, pt P
 
 // fastEligible reports whether the closed-form evaluator expresses the
 // configuration exactly: the baseline mode's event sequence with no
-// dynamic control, no fault injection, and no observers. Everything else
-// falls back to a full simulation.
+// dynamic control, no fault injection, and no code-valued fields
+// (runcache.Cacheable). Everything else falls back to a full simulation.
 func fastEligible(cfg *core.Config) bool {
 	return cfg.Mode == core.Baseline &&
 		(cfg.StaticRatio == nil || *cfg.StaticRatio == 0) &&
 		(cfg.FaultPlan == nil || cfg.FaultPlan.Zero()) &&
-		cfg.SensorFilter == nil &&
-		cfg.ActuatorFilter == nil &&
-		cfg.DivisionPolicy == nil &&
-		cfg.CPUGovernor == nil &&
-		cfg.OnDVFS == nil &&
-		cfg.OnCPUGovernor == nil &&
-		cfg.OnIteration == nil
+		runcache.Cacheable(cfg)
 }
 
 // workloadTables is the per-workload shared precomputation of a batch:

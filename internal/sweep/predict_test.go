@@ -4,8 +4,11 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"greengpu/internal/core"
+	"greengpu/internal/division"
+	"greengpu/internal/dvfs"
 	"greengpu/internal/faultinject"
 	"greengpu/internal/predict"
 	"greengpu/internal/runcache"
@@ -272,6 +275,55 @@ func TestRunFallbackMatrix(t *testing.T) {
 			}
 			if fastN != wantFastN || fallN != wantFallN {
 				t.Errorf("metrics: fast +%d fallback +%d, want +%d/+%d", fastN, fallN, wantFastN, wantFallN)
+			}
+		})
+	}
+}
+
+// TestCodeValuedConfigsFallBack: a baseline configuration that sets any of
+// core.Config's code-valued fields must take the full simulation, never
+// the closed form, which would silently drop the callbacks and filters.
+// The run cache is attached and must be bypassed too, so an observer fires
+// on every evaluation.
+func TestCodeValuedConfigsFallBack(t *testing.T) {
+	const iters = 3
+	var calls int
+	for _, tc := range []struct {
+		name string
+		set  func(*core.Config)
+	}{
+		{"ActuatorFilter", func(c *core.Config) { c.ActuatorFilter = func(d dvfs.Decision) dvfs.Decision { return d } }},
+		{"OnDVFS", func(c *core.Config) { c.OnDVFS = func(time.Duration, float64, float64, dvfs.Decision) {} }},
+		{"OnIteration", func(c *core.Config) { c.OnIteration = func(core.IterationStats) { calls++ } }},
+		{"DivisionPolicy", func(c *core.Config) { c.DivisionPolicy = division.NewQilin(division.DefaultQilinConfig()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := testEngine(t)
+			cache, err := runcache.New(runcache.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.Cache = cache
+			b, err := e.NewBatch("kmeans")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.DefaultConfig(core.Baseline)
+			cfg.Iterations = iters
+			tc.set(&cfg)
+			calls = 0
+			for run := 1; run <= 2; run++ {
+				if _, fast, err := b.Eval("kmeans", cfg); err != nil {
+					t.Fatal(err)
+				} else if fast {
+					t.Fatalf("run %d took the closed form", run)
+				}
+			}
+			if cfg.OnIteration != nil && calls != 2*iters {
+				t.Errorf("OnIteration fired %d times over two %d-iteration runs, want %d", calls, iters, 2*iters)
+			}
+			if st := cache.Stats(); st.Hits+st.Misses != 0 {
+				t.Errorf("cache consulted: %+v", st)
 			}
 		})
 	}
