@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: fmt fmtcheck vet build test race bench bench-stable bench-json bench-gate bench-sweep-json bench-sweep-gate bench-fleet-json bench-fleet-gate bench-daemon-json bench-daemon-gate bench-gates bench-experiments daemon-smoke daemon-crash-smoke golden determinism chaos predict-gate lint-docs linkcheck loc check
+.PHONY: fmt fmtcheck vet build test race bench bench-stable bench-json bench-gate bench-sweep-json bench-sweep-gate bench-fleet-json bench-fleet-gate bench-daemon-json bench-daemon-gate bench-gates bench-experiments daemon-smoke daemon-crash-smoke golden determinism chaos predict-gate lint-docs linkcheck loc examples real-determinism check
 
 fmt:
 	gofmt -w .
@@ -306,10 +306,24 @@ lint-docs:
 linkcheck:
 	$(GO) run ./cmd/linkcheck README.md DESIGN.md ROADMAP.md CHANGES.md docs
 
+# examples runs every program under examples/ and fails on the first one
+# that exits non-zero: each is an end-to-end demo of the public surface.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
+
+# real-determinism reruns the real-compute plane's tests 20 times. They
+# run on model pools (hetero.ModelPool), so a failure is a determinism
+# bug, not scheduler noise.
+real-determinism:
+	$(GO) test -count=20 ./internal/hetero ./internal/bridge
+
 # loc prints the Go line counts ROADMAP.md tracks: tracked *.go files
 # outside perfbench/ (its own module), split into non-test and test lines.
 loc:
 	@printf 'non-test Go lines: %s\n' $$(git ls-files '*.go' ':!:perfbench/*' | grep -v '_test\.go$$' | xargs cat | wc -l)
 	@printf 'test Go lines:     %s\n' $$(git ls-files '*_test.go' ':!:perfbench/*' | xargs cat | wc -l)
 
-check: fmtcheck vet build race bench determinism chaos daemon-smoke daemon-crash-smoke bench-gate bench-sweep-gate bench-fleet-gate bench-daemon-gate predict-gate lint-docs linkcheck
+check: fmtcheck vet build race bench determinism chaos daemon-smoke daemon-crash-smoke bench-gate bench-sweep-gate bench-fleet-gate bench-daemon-gate predict-gate lint-docs linkcheck examples real-determinism

@@ -65,18 +65,14 @@ func main() {
 	for {
 		n := km2.Items()
 		half := n / 2
-		var tCPU, tAcc time.Duration
-		var cpuParts, accParts []any
+		var tCPU time.Duration
+		var cpuParts []any
 		done := make(chan struct{})
 		go func() {
-			t0 := time.Now()
-			cpuParts = cpu.Process(km2, 0, half)
-			tCPU = time.Since(t0)
+			cpuParts, tCPU = cpu.Process(km2, 0, half)
 			close(done)
 		}()
-		t0 := time.Now()
-		accParts = acc.Process(km2, half, n)
-		tAcc = time.Since(t0)
+		accParts, tAcc := acc.Process(km2, half, n)
 		<-done
 		staticEnergy += model.CPUBusy.Over(tCPU) + model.AccBusy.Over(tAcc)
 		if tCPU < tAcc {

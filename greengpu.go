@@ -116,8 +116,8 @@ func NewExperiments() (*Experiments, error) { return experiments.NewEnv() }
 // Real-compute plane, re-exported. Kernel is the public contract: any
 // computation whose iterations split into disjoint item ranges with a
 // merge at the barrier can run under the division tier. The repository
-// ships reference implementations (kmeans, hotspot, nbody, bfs, lud, srad,
-// pathfinder, streamcluster, qg) in internal/kernels.
+// ships reference implementations (kmeans, hotspot, bfs, srad, pathfinder)
+// in internal/kernels.
 type (
 	// Kernel is a real, splittable computation.
 	Kernel = kernels.Kernel

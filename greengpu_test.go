@@ -131,7 +131,9 @@ func TestDeterminism(t *testing.T) {
 
 // TestRealComputeFacade exercises the real-compute plane through the
 // public facade: characterize a kernel, calibrate it, run it in
-// simulation, and run it for real.
+// simulation, and run it for real. It is the plane's one wall-clock smoke
+// test, on sleeping pools, hence its wide bands; the hetero and bridge
+// tests run on model pools and assert exact values.
 func TestRealComputeFacade(t *testing.T) {
 	mk := func() Kernel { return kernelFactoryForFacade() }
 	cpu := &Pool{Name: "cpu", Workers: 1, ItemDelay: 800 * time.Microsecond}

@@ -153,8 +153,8 @@ func Characterize(mk func() kernels.Kernel, cpu, acc *hetero.Pool, opts Options)
 	return m, nil
 }
 
-// measure times n iterations of the kernel pinned entirely to one pool and
-// returns the mean per-iteration wall time.
+// measure runs n iterations of the kernel pinned entirely to one pool and
+// returns the mean per-iteration time the pool reported.
 func measure(k kernels.Kernel, pool *hetero.Pool, n int) (time.Duration, error) {
 	if k == nil {
 		return 0, fmt.Errorf("bridge: kernel factory returned nil")
@@ -162,10 +162,8 @@ func measure(k kernels.Kernel, pool *hetero.Pool, n int) (time.Duration, error) 
 	var total time.Duration
 	measured := 0
 	for i := 0; i < n; i++ {
-		items := k.Items()
-		t0 := time.Now()
-		partials := pool.Process(k, 0, items)
-		total += time.Since(t0)
+		partials, elapsed := pool.Process(k, 0, k.Items())
+		total += elapsed
 		measured++
 		if !k.EndIteration(partials) {
 			break

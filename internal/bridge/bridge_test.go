@@ -12,10 +12,11 @@ import (
 	"greengpu/internal/workload"
 )
 
-// pools with a delay-dominated 4:1 speed asymmetry, stable across machines.
+// testPools are model pools with a 4:1 per-item cost: every time they
+// report is exact, so characterization results are deterministic.
 func testPools() (cpu, acc *hetero.Pool) {
-	return &hetero.Pool{Name: "cpu", Workers: 1, ItemDelay: 800 * time.Microsecond},
-		&hetero.Pool{Name: "acc", Workers: 1, ItemDelay: 200 * time.Microsecond}
+	return hetero.ModelPool("cpu", 1, 800*time.Microsecond),
+		hetero.ModelPool("acc", 1, 200*time.Microsecond)
 }
 
 func hotspotFactory() func() kernels.Kernel {
@@ -28,12 +29,12 @@ func TestCharacterizeMeasuresSlowdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Delay-dominated pools: slowdown must be close to the 4:1 ratio.
-	if m.Slowdown < 2.5 || m.Slowdown > 5.5 {
-		t.Errorf("measured slowdown %.2f, want ~4", m.Slowdown)
+	// 48 rows per iteration at 200µs and 800µs per row.
+	if m.Slowdown != 4 {
+		t.Errorf("measured slowdown %v, want 4", m.Slowdown)
 	}
-	if m.AccIteration <= 0 || m.CPUIteration <= 0 {
-		t.Error("degenerate iteration times")
+	if m.AccIteration != 9600*time.Microsecond || m.CPUIteration != 38400*time.Microsecond {
+		t.Errorf("iteration times acc %v, cpu %v, want 9.6ms and 38.4ms", m.AccIteration, m.CPUIteration)
 	}
 	if err := m.Spec.Validate(); err != nil {
 		t.Errorf("derived spec invalid: %v", err)
@@ -63,16 +64,16 @@ func TestCharacterizedSpecRunsOnTestbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBalance := 1 / (1 + m.Slowdown)
-	if math.Abs(res.FinalRatio-wantBalance) > 0.08 {
-		t.Errorf("simulated division converged to %.2f, measured balance point %.2f", res.FinalRatio, wantBalance)
+	// Slowdown 4 puts the balance point at 1/(1+4) = 0.2.
+	if res.FinalRatio != 0.2 {
+		t.Errorf("simulated division converged to %v, want the measured balance point 0.2", res.FinalRatio)
 	}
 
-	// And the REAL executor must converge near the same point.
+	// And the real executor must converge to the same point.
 	x := hetero.New(hotspotFactory()(), cpu, acc, hetero.Config{})
 	rep := x.Run()
-	if math.Abs(rep.FinalRatio-res.FinalRatio) > 0.11 {
-		t.Errorf("real executor converged to %.2f, simulation to %.2f — planes diverge", rep.FinalRatio, res.FinalRatio)
+	if rep.FinalRatio != 0.2 {
+		t.Errorf("real executor converged to %v, want 0.2 like the simulation", rep.FinalRatio)
 	}
 }
 
@@ -90,10 +91,9 @@ func TestCharacterizeDefaults(t *testing.T) {
 	if ph.CoreUtil != 0.60 || ph.MemUtil != 0.35 {
 		t.Errorf("default utilizations = (%v, %v)", ph.CoreUtil, ph.MemUtil)
 	}
-	// TimeScale 1000: simulated iteration lasts ~1000x the measured one.
-	wantSec := m.AccIteration.Seconds() * 1000
-	if math.Abs(s.IterationSeconds-wantSec) > 1e-9 {
-		t.Errorf("IterationSeconds = %v, want %v", s.IterationSeconds, wantSec)
+	// TimeScale 1000: the 9.6ms measured iteration lasts 9.6s simulated.
+	if math.Abs(s.IterationSeconds-9.6) > 1e-9 {
+		t.Errorf("IterationSeconds = %v, want 9.6", s.IterationSeconds)
 	}
 }
 

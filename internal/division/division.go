@@ -97,11 +97,11 @@ func DefaultConfig() Config {
 // Validate reports the first problem with the configuration, if any.
 func (c *Config) Validate() error {
 	switch {
-	case c.Step <= 0 || c.Step > 0.5:
+	case !(0 < c.Step && c.Step <= 0.5):
 		return fmt.Errorf("division: Step = %v, must be in (0, 0.5]", c.Step)
-	case c.Min < 0 || c.Max > 1 || c.Min >= c.Max:
+	case !(0 <= c.Min && c.Min < c.Max && c.Max <= 1):
 		return fmt.Errorf("division: bounds [%v, %v] invalid", c.Min, c.Max)
-	case c.Initial < c.Min || c.Initial > c.Max:
+	case !(c.Min <= c.Initial && c.Initial <= c.Max):
 		return fmt.Errorf("division: Initial = %v outside [%v, %v]", c.Initial, c.Min, c.Max)
 	}
 	return nil

@@ -25,6 +25,10 @@ func TestConfigValidate(t *testing.T) {
 		{Step: 0.05, Initial: 0.3, Min: 0, Max: 1.1},
 		{Step: 0.05, Initial: 0.3, Min: 0.5, Max: 0.4},
 		{Step: 0.05, Initial: 0.9, Min: 0, Max: 0.5},
+		{Step: math.NaN(), Initial: 0.3, Min: 0, Max: 1},
+		{Step: 0.05, Initial: 0.3, Min: math.NaN(), Max: 1},
+		{Step: 0.05, Initial: 0.3, Min: 0, Max: math.NaN()},
+		{Step: 0.05, Initial: math.NaN(), Min: 0, Max: 1},
 	}
 	for i, c := range bads {
 		if err := c.Validate(); err == nil {

@@ -44,11 +44,11 @@ func DefaultQilinConfig() QilinConfig {
 // Validate reports the first problem with the configuration, if any.
 func (c *QilinConfig) Validate() error {
 	switch {
-	case c.Min < 0 || c.Max > 1 || c.Min >= c.Max:
+	case !(0 <= c.Min && c.Min < c.Max && c.Max <= 1):
 		return fmt.Errorf("division: qilin bounds [%v, %v] invalid", c.Min, c.Max)
-	case c.Initial < c.Min || c.Initial > c.Max:
+	case !(c.Min <= c.Initial && c.Initial <= c.Max):
 		return fmt.Errorf("division: qilin Initial = %v outside bounds", c.Initial)
-	case c.Probe < c.Min || c.Probe > c.Max:
+	case !(c.Min <= c.Probe && c.Probe <= c.Max):
 		return fmt.Errorf("division: qilin Probe = %v outside bounds", c.Probe)
 	case c.Probe == c.Initial:
 		return fmt.Errorf("division: qilin Probe must differ from Initial")

@@ -17,6 +17,10 @@ func TestQilinConfigValidate(t *testing.T) {
 		{Initial: 0.3, Probe: 0.5, Min: 0.6, Max: 1}, // initial out of bounds
 		{Initial: 0.3, Probe: 1.5, Min: 0, Max: 1},   // probe out of bounds
 		{Initial: 0.3, Probe: 0.5, Min: 0.9, Max: 0.1},
+		{Initial: 0.3, Probe: 0.5, Min: math.NaN(), Max: 1},
+		{Initial: 0.3, Probe: 0.5, Min: 0, Max: math.NaN()},
+		{Initial: math.NaN(), Probe: 0.5, Min: 0, Max: 1},
+		{Initial: 0.3, Probe: math.NaN(), Min: 0, Max: 1},
 	}
 	for i, c := range bads {
 		if err := c.Validate(); err == nil {

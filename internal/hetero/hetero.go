@@ -1,15 +1,25 @@
-// Package hetero executes real kernels (internal/kernels) across two
-// worker pools of different speeds — a stand-in for the paper's CPU +
-// GPU pthread structure (§VI) — and drives GreenGPU's workload-division
-// tier from measured wall-clock times.
+// Package hetero executes real kernels (internal/kernels) across worker
+// pools of different speeds — a stand-in for the paper's CPU + GPU
+// pthread structure (§VI) — and drives GreenGPU's workload-division tier
+// from the pools' measured times.
 //
 // Each iteration's items are split by the current division ratio: the CPU
 // pool processes the first r·n items, the accelerator pool the rest,
 // concurrently. Both sides' execution times feed division.Divider, which
 // rebalances the split for the next iteration exactly as on the paper's
-// testbed. An optional energy model translates the measured busy and idle
-// times into estimated energy, so the examples can report the idle-energy
-// reduction the division tier exists to deliver.
+// testbed. MultiExecutor does the same across k pools with a rate EWMA.
+// An optional energy model translates busy and idle times into estimated
+// energy, so the examples can report the idle-energy reduction the
+// division tier exists to deliver.
+//
+// Timing has one source: Pool.Process reports how long its pool took, and
+// both executors run an iteration through the same barrier step. An
+// iteration's Wall is the slowest pool's reported time, and each pool's
+// barrier wait is Wall minus its own time, so for every pool Busy + Wait
+// equals the run's TotalWall, the sum of the iterations' Walls. A pool
+// built by ModelPool reports a modelled cost (items × per-item cost)
+// instead of measured time, which makes every division decision, and so
+// every test on such pools, deterministic.
 package hetero
 
 import (
@@ -30,8 +40,22 @@ type Pool struct {
 	Workers int
 	// ItemDelay, when non-zero, adds an artificial per-item cost. It
 	// exists to give the two pools a controlled, machine-independent
-	// speed asymmetry in tests and demos.
+	// speed asymmetry in demos.
 	ItemDelay time.Duration
+
+	// perItem, when positive, replaces measurement with a cost model:
+	// Process sleeps not at all and reports items × perItem.
+	perItem time.Duration
+}
+
+// ModelPool returns a pool that runs chunks like any other but reports
+// items × perItem as its time instead of measuring it, so the runs it
+// takes part in are deterministic. It panics on a non-positive perItem.
+func ModelPool(name string, workers int, perItem time.Duration) *Pool {
+	if perItem <= 0 {
+		panic(fmt.Sprintf("hetero: ModelPool %q needs a positive per-item cost, got %v", name, perItem))
+	}
+	return &Pool{Name: name, Workers: workers, perItem: perItem}
 }
 
 // Validate reports the first problem with the pool, if any.
@@ -46,29 +70,25 @@ func (p *Pool) Validate() error {
 }
 
 // Process runs items [lo, hi) of the kernel's current iteration on the
-// pool, returning the chunks' partial results. Chunks over disjoint
-// sub-ranges run concurrently on the pool's workers.
-func (p *Pool) Process(k kernels.Kernel, lo, hi int) []any {
+// pool and returns the chunks' partial results and the time the pool
+// took: measured wall time, or the modelled cost for a ModelPool. Chunks
+// over disjoint sub-ranges run concurrently on the pool's workers.
+func (p *Pool) Process(k kernels.Kernel, lo, hi int) ([]any, time.Duration) {
 	n := hi - lo
 	if n <= 0 {
-		return nil
+		return nil, 0
 	}
-	if p.ItemDelay > 0 {
+	start := time.Now()
+	if p.perItem == 0 && p.ItemDelay > 0 {
 		time.Sleep(time.Duration(n) * p.ItemDelay)
 	}
-	workers := p.Workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(p.Workers, n)
 	partials := make([]any, workers)
 	var wg sync.WaitGroup
 	per := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		clo := lo + w*per
-		chi := clo + per
-		if chi > hi {
-			chi = hi
-		}
+		chi := min(clo+per, hi)
 		if clo >= chi {
 			break
 		}
@@ -85,7 +105,38 @@ func (p *Pool) Process(k kernels.Kernel, lo, hi int) []any {
 			out = append(out, p)
 		}
 	}
-	return out
+	if p.perItem > 0 {
+		return out, time.Duration(n) * p.perItem
+	}
+	return out, time.Since(start)
+}
+
+// barrier runs one iteration: pools[i] processes the next counts[i] items
+// of the kernel's current iteration, all pools concurrently. It returns
+// the partials in pool order, each pool's time as Process reported it,
+// and the iteration's wall time, the slowest pool's time.
+func barrier(k kernels.Kernel, pools []*Pool, counts []int) ([]any, []time.Duration, time.Duration) {
+	parts := make([][]any, len(pools))
+	times := make([]time.Duration, len(pools))
+	var wg sync.WaitGroup
+	lo := 0
+	for i, p := range pools {
+		hi := lo + counts[i]
+		wg.Add(1)
+		go func(lo int) {
+			defer wg.Done()
+			parts[i], times[i] = p.Process(k, lo, hi)
+		}(lo)
+		lo = hi
+	}
+	wg.Wait()
+	var partials []any
+	var wall time.Duration
+	for i := range pools {
+		partials = append(partials, parts[i]...)
+		wall = max(wall, times[i])
+	}
+	return partials, times, wall
 }
 
 // EnergyModel translates busy/idle time into estimated energy for the
@@ -127,10 +178,12 @@ type Report struct {
 	Kernel     string
 	Iterations []IterationStat
 	FinalRatio float64
-	TotalWall  time.Duration
+	// TotalWall is the sum of the iterations' Wall times.
+	TotalWall time.Duration
 	// CPUBusy and AccBusy are the summed per-side execution times;
 	// CPUWait and AccWait the summed idle time each side spent waiting
-	// for the other at iteration barriers.
+	// for the other at iteration barriers. Busy + Wait = TotalWall on
+	// each side.
 	CPUBusy, AccBusy time.Duration
 	CPUWait, AccWait time.Duration
 	// Energy is the modelled total energy; zero when no model was given.
@@ -196,67 +249,38 @@ func (x *Executor) Ratio() float64 { return x.divider.Ratio() }
 // report.
 func (x *Executor) Run() *Report {
 	rep := &Report{Kernel: x.kernel.Name()}
-	start := time.Now()
-	for iter := 0; ; iter++ {
-		if x.cfg.MaxIterations > 0 && iter >= x.cfg.MaxIterations {
-			break
-		}
+	pools := []*Pool{x.cpu, x.acc}
+	for iter := 0; x.cfg.MaxIterations <= 0 || iter < x.cfg.MaxIterations; iter++ {
 		n := x.kernel.Items()
 		r := x.divider.Ratio()
-		cpuN := int(r*float64(n) + 0.5)
-		if cpuN > n {
-			cpuN = n
-		}
-
-		var cpuParts, accParts []any
-		var tCPU, tAcc time.Duration
-		iterStart := time.Now()
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			cpuParts = x.cpu.Process(x.kernel, 0, cpuN)
-			tCPU = time.Since(t0)
-		}()
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			accParts = x.acc.Process(x.kernel, cpuN, n)
-			tAcc = time.Since(t0)
-		}()
-		wg.Wait()
-		wall := time.Since(iterStart)
+		cpuN := min(int(r*float64(n)+0.5), n)
+		partials, times, wall := barrier(x.kernel, pools, []int{cpuN, n - cpuN})
 
 		stat := IterationStat{
 			Index:    iter,
 			Items:    n,
 			CPUItems: cpuN,
 			R:        r,
-			TCPU:     tCPU,
-			TAcc:     tAcc,
+			TCPU:     times[0],
+			TAcc:     times[1],
 			Wall:     wall,
 		}
 		rep.Iterations = append(rep.Iterations, stat)
-		rep.CPUBusy += tCPU
-		rep.AccBusy += tAcc
-		if tCPU < tAcc {
-			rep.CPUWait += tAcc - tCPU
-		} else {
-			rep.AccWait += tCPU - tAcc
-		}
+		rep.TotalWall += wall
+		rep.CPUBusy += stat.TCPU
+		rep.AccBusy += stat.TAcc
+		rep.CPUWait += wall - stat.TCPU
+		rep.AccWait += wall - stat.TAcc
 		if x.cfg.OnIteration != nil {
 			x.cfg.OnIteration(stat)
 		}
 
-		x.divider.Observe(tCPU, tAcc)
+		x.divider.Observe(stat.TCPU, stat.TAcc)
 
-		partials := append(cpuParts, accParts...)
 		if !x.kernel.EndIteration(partials) {
 			break
 		}
 	}
-	rep.TotalWall = time.Since(start)
 	rep.FinalRatio = x.divider.Ratio()
 	if m := x.cfg.Energy; m != nil {
 		rep.Energy = m.CPUBusy.Over(rep.CPUBusy) + m.CPUIdle.Over(rep.CPUWait) +

@@ -7,7 +7,6 @@ import (
 
 	"greengpu/internal/division"
 	"greengpu/internal/kernels"
-	"greengpu/internal/units"
 )
 
 func TestPoolValidate(t *testing.T) {
@@ -21,6 +20,19 @@ func TestPoolValidate(t *testing.T) {
 	if err := (&Pool{Name: "x", Workers: 1, ItemDelay: -1}).Validate(); err == nil {
 		t.Error("negative delay accepted")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ModelPool with zero per-item cost did not panic")
+		}
+	}()
+	ModelPool("x", 1, 0)
+}
+
+func TestModelPoolReportsCost(t *testing.T) {
+	k := kernels.NewHotspot(16, 16, 1, 1)
+	if _, elapsed := ModelPool("m", 3, 250*time.Microsecond).Process(k, 2, 14); elapsed != 3*time.Millisecond {
+		t.Errorf("model pool reported %v, want 12 items × 250µs", elapsed)
+	}
 }
 
 func TestPoolProcessCorrectness(t *testing.T) {
@@ -31,7 +43,7 @@ func TestPoolProcessCorrectness(t *testing.T) {
 
 	pool := &Pool{Name: "p", Workers: 4}
 	for {
-		parts := pool.Process(b, 0, b.Items())
+		parts, _ := pool.Process(b, 0, b.Items())
 		if !b.EndIteration(parts) {
 			break
 		}
@@ -47,8 +59,8 @@ func TestPoolProcessCorrectness(t *testing.T) {
 func TestPoolProcessEmptyRange(t *testing.T) {
 	k := kernels.NewHotspot(8, 8, 2, 1)
 	pool := &Pool{Name: "p", Workers: 2}
-	if parts := pool.Process(k, 3, 3); parts != nil {
-		t.Errorf("empty range returned partials: %v", parts)
+	if parts, elapsed := pool.Process(k, 3, 3); parts != nil || elapsed != 0 {
+		t.Errorf("empty range returned partials %v after %v", parts, elapsed)
 	}
 }
 
@@ -90,19 +102,21 @@ func TestExecutorResultsMatchSerial(t *testing.T) {
 }
 
 func TestExecutorRebalancesTowardFasterPool(t *testing.T) {
-	// The CPU pool is made 4x slower per item; the divider must shrink
-	// the CPU share from the 30% start toward ~1/5 = 20%.
+	// The CPU pool costs 4x more per item; from the 30% start the divider
+	// steps down to the balance point 1/(1+4) = 20%: 13 of 64 rows on the
+	// CPU (10.4 ms) against 51 on the accelerator (10.2 ms).
 	k := kernels.NewHotspot(64, 64, 40, 7)
 	x := New(k,
-		&Pool{Name: "cpu", Workers: 1, ItemDelay: 800 * time.Microsecond},
-		&Pool{Name: "acc", Workers: 1, ItemDelay: 200 * time.Microsecond},
+		ModelPool("cpu", 1, 800*time.Microsecond),
+		ModelPool("acc", 1, 200*time.Microsecond),
 		Config{})
 	rep := x.Run()
-	if rep.FinalRatio >= 0.30 {
-		t.Errorf("final CPU share %.2f did not shrink from 0.30", rep.FinalRatio)
+	if rep.FinalRatio != 0.2 {
+		t.Errorf("final CPU share %v, want 0.2", rep.FinalRatio)
 	}
-	if rep.FinalRatio < 0.05 || rep.FinalRatio > 0.30 {
-		t.Errorf("final CPU share %.2f outside the plausible band around 0.20", rep.FinalRatio)
+	last := rep.Iterations[len(rep.Iterations)-1]
+	if last.CPUItems != 13 || last.TCPU != 10400*time.Microsecond || last.TAcc != 10200*time.Microsecond {
+		t.Errorf("final iteration %+v, want 13 CPU rows at 10.4ms vs 10.2ms", last)
 	}
 }
 
@@ -117,20 +131,35 @@ func TestExecutorMaxIterations(t *testing.T) {
 }
 
 func TestExecutorEnergyModel(t *testing.T) {
+	// 32 rows at a 30% share: 10 CPU rows at 400µs = 4ms against 22
+	// accelerator rows at 200µs = 4.4ms. Stepping to 25% would flip the
+	// imbalance without shrinking it, so the safeguard holds 30% for all
+	// 10 iterations: CPU busy 40ms + wait 4ms, accelerator busy 44ms.
 	k := kernels.NewHotspot(32, 32, 10, 13)
 	model := &EnergyModel{CPUBusy: 100, CPUIdle: 50, AccBusy: 120, AccIdle: 60}
 	x := New(k,
-		&Pool{Name: "cpu", Workers: 1, ItemDelay: 400 * time.Microsecond},
-		&Pool{Name: "acc", Workers: 1, ItemDelay: 200 * time.Microsecond},
+		ModelPool("cpu", 1, 400*time.Microsecond),
+		ModelPool("acc", 1, 200*time.Microsecond),
 		Config{Energy: model})
 	rep := x.Run()
-	if rep.Energy <= 0 {
-		t.Error("energy model produced nothing")
+	var sumWall time.Duration
+	for _, it := range rep.Iterations {
+		sumWall += it.Wall
 	}
-	want := units.Power(100).Over(rep.CPUBusy) + units.Power(50).Over(rep.CPUWait) +
-		units.Power(120).Over(rep.AccBusy) + units.Power(60).Over(rep.AccWait)
-	if math.Abs(float64(rep.Energy-want)) > 1e-9 {
-		t.Errorf("energy = %v, want %v", rep.Energy, want)
+	if rep.TotalWall != sumWall || rep.TotalWall != 44*time.Millisecond {
+		t.Errorf("TotalWall = %v, Σ Wall = %v, want 44ms", rep.TotalWall, sumWall)
+	}
+	if rep.CPUBusy+rep.CPUWait != sumWall || rep.AccBusy+rep.AccWait != sumWall {
+		t.Errorf("time not conserved: cpu %v+%v, acc %v+%v, Σ Wall %v",
+			rep.CPUBusy, rep.CPUWait, rep.AccBusy, rep.AccWait, sumWall)
+	}
+	if rep.CPUBusy != 40*time.Millisecond || rep.CPUWait != 4*time.Millisecond ||
+		rep.AccBusy != 44*time.Millisecond || rep.AccWait != 0 {
+		t.Errorf("busy/wait = cpu %v/%v, acc %v/%v", rep.CPUBusy, rep.CPUWait, rep.AccBusy, rep.AccWait)
+	}
+	// 100W·40ms + 50W·4ms + 120W·44ms + 60W·0 = 4 + 0.2 + 5.28 J.
+	if math.Abs(float64(rep.Energy)-9.48) > 1e-9 {
+		t.Errorf("energy = %v, want 9.48 J", rep.Energy)
 	}
 }
 

@@ -2,7 +2,6 @@ package hetero
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"greengpu/internal/kernels"
@@ -23,7 +22,6 @@ type MultiExecutor struct {
 
 	shares []float64
 	rates  []float64 // items/second EWMA, 0 = unknown
-	stats  []MultiIterationStat
 }
 
 // PoolPower is one pool's power envelope for energy estimation.
@@ -62,8 +60,10 @@ type MultiReport struct {
 	Pools       []string
 	Iterations  []MultiIterationStat
 	FinalShares []float64
-	TotalWall   time.Duration
+	// TotalWall is the sum of the iterations' Wall times.
+	TotalWall time.Duration
 	// Busy and Wait are per-pool sums; Wait is barrier idle time.
+	// Busy[i] + Wait[i] = TotalWall for every pool.
 	Busy []time.Duration
 	Wait []time.Duration
 	// Energy is the modelled total; zero when no model was given.
@@ -118,7 +118,7 @@ func NewMulti(k kernels.Kernel, pools []*Pool, cfg MultiConfig) *MultiExecutor {
 	if cfg.Smoothing == 0 {
 		cfg.Smoothing = 0.5
 	}
-	if cfg.Smoothing < 0 || cfg.Smoothing > 1 {
+	if !(0 < cfg.Smoothing && cfg.Smoothing <= 1) {
 		panic(fmt.Sprintf("hetero: Smoothing = %v, must be in (0,1]", cfg.Smoothing))
 	}
 	if len(cfg.Energy) != 0 && len(cfg.Energy) != len(pools) {
@@ -182,32 +182,10 @@ func (x *MultiExecutor) Run() *MultiReport {
 	for _, p := range x.pools {
 		rep.Pools = append(rep.Pools, p.Name)
 	}
-	start := time.Now()
-	for iter := 0; ; iter++ {
-		if x.cfg.MaxIterations > 0 && iter >= x.cfg.MaxIterations {
-			break
-		}
+	for iter := 0; x.cfg.MaxIterations <= 0 || iter < x.cfg.MaxIterations; iter++ {
 		n := x.kernel.Items()
 		counts := x.split(n)
-
-		times := make([]time.Duration, k)
-		partialSets := make([][]any, k)
-		iterStart := time.Now()
-		var wg sync.WaitGroup
-		lo := 0
-		for i := 0; i < k; i++ {
-			clo, chi := lo, lo+counts[i]
-			lo = chi
-			wg.Add(1)
-			go func(i, clo, chi int) {
-				defer wg.Done()
-				t0 := time.Now()
-				partialSets[i] = x.pools[i].Process(x.kernel, clo, chi)
-				times[i] = time.Since(t0)
-			}(i, clo, chi)
-		}
-		wg.Wait()
-		wall := time.Since(iterStart)
+		partials, times, wall := barrier(x.kernel, x.pools, counts)
 
 		stat := MultiIterationStat{
 			Index:  iter,
@@ -217,8 +195,8 @@ func (x *MultiExecutor) Run() *MultiReport {
 			Times:  times,
 			Wall:   wall,
 		}
-		x.stats = append(x.stats, stat)
 		rep.Iterations = append(rep.Iterations, stat)
+		rep.TotalWall += wall
 		for i := 0; i < k; i++ {
 			rep.Busy[i] += times[i]
 			rep.Wait[i] += wall - times[i]
@@ -229,15 +207,10 @@ func (x *MultiExecutor) Run() *MultiReport {
 
 		x.updateShares(counts, times)
 
-		var partials []any
-		for _, ps := range partialSets {
-			partials = append(partials, ps...)
-		}
 		if !x.kernel.EndIteration(partials) {
 			break
 		}
 	}
-	rep.TotalWall = time.Since(start)
 	rep.FinalShares = x.Shares()
 	if len(x.cfg.Energy) == len(x.pools) {
 		for i, pp := range x.cfg.Energy {

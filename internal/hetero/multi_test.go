@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"greengpu/internal/kernels"
-	"greengpu/internal/units"
 )
 
 func TestMultiValidation(t *testing.T) {
@@ -18,6 +17,8 @@ func TestMultiValidation(t *testing.T) {
 		func() { NewMulti(k, []*Pool{good[0], nil}, MultiConfig{}) },
 		func() { NewMulti(k, []*Pool{good[0], {Name: "bad", Workers: 0}}, MultiConfig{}) },
 		func() { NewMulti(k, good, MultiConfig{Smoothing: 2}) },
+		func() { NewMulti(k, good, MultiConfig{Smoothing: -0.5}) },
+		func() { NewMulti(k, good, MultiConfig{Smoothing: math.NaN()}) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -57,23 +58,24 @@ func TestMultiResultsMatchSerial(t *testing.T) {
 }
 
 func TestMultiSharesTrackPoolSpeeds(t *testing.T) {
-	// Pools with per-item delays 100/200/400 µs have rates 4:2:1, so
-	// shares should converge near (4/7, 2/7, 1/7).
+	// Per-item costs 200/400/800µs are rates 4:2:1, so after the first
+	// measurement the shares are (4/7, 2/7, 1/7): 37/18/9 of 64 rows,
+	// finishing in 7.4/7.2/7.2ms.
 	k := kernels.NewHotspot(64, 64, 30, 3)
 	x := NewMulti(k, []*Pool{
-		{Name: "fast", Workers: 1, ItemDelay: 200 * time.Microsecond},
-		{Name: "mid", Workers: 1, ItemDelay: 400 * time.Microsecond},
-		{Name: "slow", Workers: 1, ItemDelay: 800 * time.Microsecond},
+		ModelPool("fast", 1, 200*time.Microsecond),
+		ModelPool("mid", 1, 400*time.Microsecond),
+		ModelPool("slow", 1, 800*time.Microsecond),
 	}, MultiConfig{})
 	rep := x.Run()
 	want := []float64{4.0 / 7, 2.0 / 7, 1.0 / 7}
 	for i, s := range rep.FinalShares {
-		if math.Abs(s-want[i]) > 0.08 {
-			t.Errorf("pool %s share %.3f, want ~%.3f", rep.Pools[i], s, want[i])
+		if math.Abs(s-want[i]) > 1e-12 {
+			t.Errorf("pool %s share %v, want %v", rep.Pools[i], s, want[i])
 		}
 	}
-	if imb := rep.Imbalance(); imb > 0.25 {
-		t.Errorf("final imbalance %.2f, want balanced", imb)
+	if imb := rep.Imbalance(); math.Abs(imb-0.2/7.4) > 1e-12 {
+		t.Errorf("final imbalance %v, want 0.2ms/7.4ms", imb)
 	}
 }
 
@@ -137,19 +139,34 @@ func TestMultiBFSVaryingFrontier(t *testing.T) {
 }
 
 func TestMultiEnergyModel(t *testing.T) {
+	// Iteration 1 splits 32 rows 16/16: 3.2ms against 1.6ms. The rates
+	// 5000/s and 10000/s then give shares 1/3, 2/3 and counts 11/21
+	// (2.2ms, 2.1ms) for the other 7 iterations. Σ Wall = 3.2 + 7·2.2 =
+	// 18.6ms; pool a never waits, pool b waits 1.6 + 7·0.1 = 2.3ms.
 	k := kernels.NewHotspot(32, 32, 8, 13)
 	x := NewMulti(k, []*Pool{
-		{Name: "a", Workers: 1, ItemDelay: 200 * time.Microsecond},
-		{Name: "b", Workers: 1, ItemDelay: 100 * time.Microsecond},
+		ModelPool("a", 1, 200*time.Microsecond),
+		ModelPool("b", 1, 100*time.Microsecond),
 	}, MultiConfig{Energy: []PoolPower{{Busy: 100, Idle: 50}, {Busy: 140, Idle: 80}}})
 	rep := x.Run()
-	if rep.Energy <= 0 {
-		t.Fatal("no energy modelled")
+	var sumWall time.Duration
+	for _, it := range rep.Iterations {
+		sumWall += it.Wall
 	}
-	want := units.Power(100).Over(rep.Busy[0]) + units.Power(50).Over(rep.Wait[0]) +
-		units.Power(140).Over(rep.Busy[1]) + units.Power(80).Over(rep.Wait[1])
-	if math.Abs(float64(rep.Energy-want)) > 1e-9 {
-		t.Errorf("Energy = %v, want %v", rep.Energy, want)
+	if rep.TotalWall != sumWall || sumWall != 18600*time.Microsecond {
+		t.Errorf("TotalWall = %v, Σ Wall = %v, want 18.6ms", rep.TotalWall, sumWall)
+	}
+	for i := range rep.Pools {
+		if rep.Busy[i]+rep.Wait[i] != sumWall {
+			t.Errorf("pool %s: busy %v + wait %v != Σ Wall %v", rep.Pools[i], rep.Busy[i], rep.Wait[i], sumWall)
+		}
+	}
+	if rep.Wait[0] != 0 || rep.Wait[1] != 2300*time.Microsecond {
+		t.Errorf("waits = %v, want [0 2.3ms]", rep.Wait)
+	}
+	// 100W·18.6ms + 50W·0 + 140W·16.3ms + 80W·2.3ms = 1.86 + 2.282 + 0.184 J.
+	if math.Abs(float64(rep.Energy)-4.326) > 1e-9 {
+		t.Errorf("Energy = %v, want 4.326 J", rep.Energy)
 	}
 }
 

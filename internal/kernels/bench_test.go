@@ -21,14 +21,6 @@ func BenchmarkHotspotChunk(b *testing.B) {
 	}
 }
 
-func BenchmarkNBodyChunk(b *testing.B) {
-	nb := NewNBody(512, 1<<30, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nb.Chunk(0, nb.Items())
-	}
-}
-
 func BenchmarkSRADChunk(b *testing.B) {
 	s := NewSRAD(256, 256, 1<<30, 1)
 	b.ResetTimer()
@@ -45,24 +37,9 @@ func BenchmarkPathFinderChunk(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamClusterChunk(b *testing.B) {
-	sc := NewStreamCluster(10000, 8, 64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.Chunk(0, sc.Items())
-	}
-}
-
 func BenchmarkBFSFullRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bfs := NewBFS(20000, 4, uint64(i)+1)
 		RunSerial(bfs)
-	}
-}
-
-func BenchmarkLUDFullRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		l := NewLUD(96, uint64(i)+1)
-		RunSerial(l)
 	}
 }

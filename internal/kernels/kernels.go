@@ -1,6 +1,7 @@
 // Package kernels provides real Go implementations of the divisible
-// computations behind the GreenGPU evaluation workloads: kmeans, hotspot,
-// nbody, bfs, lud, srad, pathfinder and streamcluster.
+// computations behind five of the GreenGPU evaluation workloads: kmeans,
+// hotspot, bfs, srad and pathfinder. (The other Table II workloads exist
+// only as simulated profiles in internal/workload.)
 //
 // These are not simulator profiles — they compute actual results. Their
 // role in this repository is to demonstrate the workload-division tier on

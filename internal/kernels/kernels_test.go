@@ -151,42 +151,6 @@ func TestHotspotUnpoweredStaysAmbient(t *testing.T) {
 	}
 }
 
-// --- nbody ---
-
-func TestNBodyConservesMomentum(t *testing.T) {
-	nb := NewNBody(64, 50, 13)
-	before := nb.CenterOfMassVelocity()
-	RunSerial(nb)
-	after := nb.CenterOfMassVelocity()
-	for d := 0; d < 3; d++ {
-		if math.Abs(after[d]-before[d]) > 1e-6 {
-			t.Errorf("momentum drifted on axis %d: %v -> %v", d, before[d], after[d])
-		}
-	}
-}
-
-func TestNBodyEnergyStable(t *testing.T) {
-	nb := NewNBody(48, 100, 17)
-	e0 := nb.Energy()
-	RunSerial(nb)
-	e1 := nb.Energy()
-	if rel := math.Abs(e1-e0) / math.Abs(e0); rel > 0.05 {
-		t.Errorf("energy drifted %.2f%% over 100 steps", rel*100)
-	}
-}
-
-func TestNBodyChunkInvariance(t *testing.T) {
-	a := NewNBody(40, 10, 23)
-	b := NewNBody(40, 10, 23)
-	RunSerial(a)
-	runChunked(b, 3)
-	for i := range a.pos {
-		if math.Abs(a.pos[i]-b.pos[i]) > 1e-12 {
-			t.Fatalf("position %d differs between serial and chunked", i)
-		}
-	}
-}
-
 // --- bfs ---
 
 func TestBFSMatchesReference(t *testing.T) {
@@ -223,39 +187,6 @@ func TestBFSFrontierShrinksToZero(t *testing.T) {
 	}
 	if b.Items() != 0 {
 		t.Errorf("frontier not empty at end: %d", b.Items())
-	}
-}
-
-// --- lud ---
-
-func TestLUDResidual(t *testing.T) {
-	l := NewLUD(48, 43)
-	RunSerial(l)
-	if res := l.ResidualNorm(); res > 1e-8 {
-		t.Errorf("‖L·U − A‖∞ = %v, want tiny", res)
-	}
-}
-
-func TestLUDChunkInvariance(t *testing.T) {
-	a := NewLUD(32, 47)
-	b := NewLUD(32, 47)
-	RunSerial(a)
-	runChunked(b, 5)
-	for i := range a.a {
-		if math.Abs(a.a[i]-b.a[i]) > 1e-12 {
-			t.Fatalf("decomposition differs at %d", i)
-		}
-	}
-}
-
-func TestLUDItemsShrink(t *testing.T) {
-	l := NewLUD(10, 53)
-	prev := l.Items()
-	for l.EndIteration([]any{l.Chunk(0, l.Items())}) {
-		if l.Items() != prev-1 {
-			t.Fatalf("items did not shrink by one: %d -> %d", prev, l.Items())
-		}
-		prev = l.Items()
 	}
 }
 
@@ -305,44 +236,6 @@ func TestPathFinderChunkInvariance(t *testing.T) {
 	runChunked(b, 6)
 	if a.BestCost() != b.BestCost() {
 		t.Errorf("chunked best cost %d != serial %d", b.BestCost(), a.BestCost())
-	}
-}
-
-// --- streamcluster ---
-
-func TestStreamClusterOpensCenters(t *testing.T) {
-	sc := NewStreamCluster(1200, 4, 40, 73)
-	RunSerial(sc)
-	if len(sc.Centers()) < 2 {
-		t.Errorf("no facilities opened beyond the seed: %v", sc.Centers())
-	}
-	if err := sc.MaxAssignError(); err > 1e-9 {
-		t.Errorf("assignment costs inconsistent: %v", err)
-	}
-}
-
-func TestStreamClusterCostImproves(t *testing.T) {
-	sc := NewStreamCluster(800, 3, 30, 79)
-	start := sc.TotalCost()
-	RunSerial(sc)
-	if sc.TotalCost() >= start {
-		t.Errorf("clustering cost did not improve: %v -> %v", start, sc.TotalCost())
-	}
-}
-
-func TestStreamClusterChunkInvariance(t *testing.T) {
-	a := NewStreamCluster(600, 3, 25, 83)
-	b := NewStreamCluster(600, 3, 25, 83)
-	RunSerial(a)
-	runChunked(b, 5)
-	ca, cb := a.Centers(), b.Centers()
-	if len(ca) != len(cb) {
-		t.Fatalf("center counts differ: %d vs %d", len(ca), len(cb))
-	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			t.Fatalf("center %d differs: %d vs %d", i, ca[i], cb[i])
-		}
 	}
 }
 
